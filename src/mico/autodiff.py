@@ -55,9 +55,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
@@ -172,11 +169,6 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: operand has non-positive entries")
     return _unary(a, "log", np.log, lambda x, o: 1.0 / x)
-
-
-def relu(a) -> Tensor:
-    return _unary(a, "relu", lambda x: np.maximum(x, 0.0),
-                  lambda x, o: (x > 0.0).astype(np.float64))
 
 
 def gelu(a) -> Tensor:
@@ -306,32 +298,6 @@ def mean(a, axis=None) -> Tensor:
     _check_axis(a, axis)
     n = a.data.size if axis is None else a.data.shape[axis]
     return scale(sum_(a, axis=axis), 1.0 / n)
-
-
-def max_(a, axis=None) -> Tensor:
-    """Max reduction; backward routes the full gradient to the first argmax."""
-    a = _as_tensor(a)
-    _check_axis(a, axis)
-    data = a.data.max(axis=axis)
-
-    def build(out):
-        def _bw():
-            g = out.grad
-            mask = np.zeros_like(a.data)
-            if axis is None:
-                idx = np.unravel_index(np.argmax(a.data), a.data.shape)
-                mask[idx] = 1.0
-                _accum(a, mask * g)
-            else:
-                idx = np.argmax(a.data, axis=axis)
-                grid = np.indices(data.shape)
-                sel = list(grid)
-                sel.insert(axis % a.data.ndim, idx)
-                mask[tuple(sel)] = 1.0
-                _accum(a, mask * np.expand_dims(g, axis))
-        return _bw
-
-    return _make(data, (a,), "max", build)
 
 
 def softmax(a) -> Tensor:

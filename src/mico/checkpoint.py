@@ -10,21 +10,18 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 
 import numpy as np
 
-from .errors import ChecksumError, HeaderError, TruncationError
+from . import framing
+from .errors import HeaderError
 
 MAGIC = b"MICO1"
 
 
 def save_checkpoint(path: str, config: dict, params: dict[str, np.ndarray]) -> None:
-    parts = [MAGIC]
     cfg = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
-    parts.append(struct.pack("<I", len(params)))
+    parts = [struct.pack("<I", len(cfg)), cfg, struct.pack("<I", len(params))]
     for name, arr in params.items():
         arr = np.asarray(arr, dtype=np.float64)
         nb = name.encode("utf-8")
@@ -33,50 +30,24 @@ def save_checkpoint(path: str, config: dict, params: dict[str, np.ndarray]) -> N
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    blob = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    framing.write_framed(path, MAGIC, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) or raw[:len(MAGIC)] != MAGIC:
-        raise HeaderError(f"{path}: bad checkpoint magic")
-    if len(raw) < len(MAGIC) + 4:
-        raise TruncationError(f"{path}: checkpoint shorter than magic + checksum")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumError(f"{path}: checkpoint CRC32 mismatch")
-
-    off = len(MAGIC)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(body):
-            raise TruncationError(f"{path}: truncated while reading {what}")
-        out = body[off:off + n]
-        off += n
-        return out
-
-    (cfg_len,) = struct.unpack("<I", take(4, "config length"))
+    r = framing.read_framed(path, MAGIC)
+    (cfg_len,) = r.unpack("<I", "config length")
     try:
-        config = json.loads(take(cfg_len, "config").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        config = json.loads(r.text(cfg_len, "config"))
+    except json.JSONDecodeError as exc:
         raise HeaderError(f"{path}: unreadable config block: {exc}") from exc
-    (n_params,) = struct.unpack("<I", take(4, "parameter count"))
+    (n_params,) = r.unpack("<I", "parameter count")
 
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "shape"))
-        size = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(take(size * 8, f"payload of {name!r}"), dtype="<f8")
-        params[name] = arr.reshape(shape).copy()
-    if off != len(body):
-        raise HeaderError(f"{path}: {len(body) - off} unexpected trailing bytes")
+        (name_len,) = r.unpack("<H", "name length")
+        name = r.text(name_len, "name")
+        (rank,) = r.unpack("<B", "rank")
+        shape = r.unpack(f"<{rank}Q", "shape")
+        params[name] = r.array("<f8", shape, f"payload of {name!r}")
+    r.done()
     return config, params

@@ -5,18 +5,12 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChecksumError,
-    ConfigError,
-    DataError,
-    HeaderError,
-    TruncationError,
-)
+from . import framing
+from .errors import ConfigError, DataError, HeaderError
 from .losses import SubtypeLabel, SurvivalLabel
 
 MAGIC = b"MBAG1"
@@ -164,12 +158,9 @@ _KIND_SUBTYPE = 1
 
 
 def write_bag(bag: FeatureBag, path: str) -> None:
-    parts = [MAGIC]
     bid = bag.bag_id.encode("utf-8")
-    parts.append(struct.pack("<H", len(bid)))
-    parts.append(bid)
     M, d = bag.features.shape
-    parts.append(struct.pack("<II", M, d))
+    parts = [struct.pack("<H", len(bid)), bid, struct.pack("<II", M, d)]
     if isinstance(bag.label, SurvivalLabel):
         parts.append(struct.pack("<B", _KIND_SURVIVAL))
         parts.append(struct.pack("<dBi", bag.label.time, int(bag.label.event), bag.label.bin))
@@ -185,71 +176,32 @@ def write_bag(bag: FeatureBag, path: str) -> None:
         parts.append(np.ascontiguousarray(bag.coords, dtype="<f8").tobytes())
     if bag.true_type_map is not None:
         parts.append(np.ascontiguousarray(bag.true_type_map, dtype="<i4").tobytes())
-    blob = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
-            raise TruncationError(f"{self.path}: truncated while reading {what}")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
+    framing.write_framed(path, MAGIC, b"".join(parts))
 
 
 def read_bag(path: str) -> FeatureBag:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) or raw[:len(MAGIC)] != MAGIC:
-        raise HeaderError(f"{path}: bad magic bytes")
-    if len(raw) < len(MAGIC) + 4:
-        raise TruncationError(f"{path}: file shorter than magic + checksum")
-    body, crc_bytes = raw[:-4], raw[-4:]
-
-    r = _Reader(body, path)
-    r.take(len(MAGIC), "magic")
-    (id_len,) = struct.unpack("<H", r.take(2, "bag id length"))
-    bag_id = r.take(id_len, "bag id").decode("utf-8")
-    M, d = struct.unpack("<II", r.take(8, "dimensions"))
+    r = framing.read_framed(path, MAGIC)
+    (id_len,) = r.unpack("<H", "bag id length")
+    bag_id = r.text(id_len, "bag id")
+    M, d = r.unpack("<II", "dimensions")
     if M < 1 or d < 1:
         raise HeaderError(f"{path}: invalid dimensions M={M}, d={d}")
-    (kind,) = struct.unpack("<B", r.take(1, "label kind"))
+    (kind,) = r.unpack("<B", "label kind")
     if kind == _KIND_SURVIVAL:
-        time, event, bin_ = struct.unpack("<dBi", r.take(13, "survival label"))
+        time, event, bin_ = r.unpack("<dBi", "survival label")
         label = SurvivalLabel(time=time, event=bool(event), bin=bin_)
     elif kind == _KIND_SUBTYPE:
-        (cls,) = struct.unpack("<i", r.take(4, "subtype label"))
+        (cls,) = r.unpack("<i", "subtype label")
         label = SubtypeLabel(class_index=cls)
     else:
         raise HeaderError(f"{path}: unknown label kind {kind}")
-    (flags,) = struct.unpack("<B", r.take(1, "flags"))
-
-    features = np.frombuffer(r.take(M * d * 8, "features"), dtype="<f8").reshape(M, d)
-    coords = None
-    if flags & 1:
-        coords = np.frombuffer(r.take(M * 2 * 8, "coords"), dtype="<f8").reshape(M, 2)
-    type_map = None
-    if flags & 2:
-        type_map = np.frombuffer(r.take(M * 4, "type map"), dtype="<i4")
-    if r.off != len(body):
-        raise HeaderError(f"{path}: {len(body) - r.off} unexpected trailing bytes")
-
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumError(f"{path}: CRC32 mismatch")
-
-    return FeatureBag(bag_id=bag_id, features=features.copy(),
-                      coords=None if coords is None else coords.copy(),
-                      label=label,
-                      true_type_map=None if type_map is None else type_map.copy())
+    (flags,) = r.unpack("<B", "flags")
+    features = r.array("<f8", (M, d), "features")
+    coords = r.array("<f8", (M, 2), "coords") if flags & 1 else None
+    type_map = r.array("<i4", (M,), "type map") if flags & 2 else None
+    r.done()
+    return FeatureBag(bag_id=bag_id, features=features, coords=coords,
+                      label=label, true_type_map=type_map)
 
 
 def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
@@ -268,14 +220,12 @@ def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
 
 def read_dataset(data_dir: str) -> list[FeatureBag]:
     manifest = os.path.join(data_dir, "manifest.txt")
-    if not os.path.exists(manifest):
-        raise DataError(f"no manifest.txt in {data_dir}")
-    bags = []
-    with open(manifest) as f:
-        for line in f:
-            rel = line.split()[0] if line.strip() else None
-            if rel:
-                bags.append(read_bag(os.path.join(data_dir, rel)))
+    try:
+        with open(manifest) as f:
+            rels = [line.split()[0] for line in f if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
+    bags = [read_bag(os.path.join(data_dir, rel)) for rel in rels]
     if not bags:
         raise DataError(f"manifest {manifest} lists no bags")
     return bags

@@ -10,7 +10,7 @@ one bag-level vector for the task head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -80,20 +80,13 @@ class MicoConfig:
         return self.survival_bins if self.task == "survival" else self.subtype_classes
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d, "anchors": self.anchors, "layers": self.layers,
-            "mlp_hidden": self.mlp_hidden, "task": self.task,
-            "survival_bins": self.survival_bins, "subtype_classes": self.subtype_classes,
-            "pooling": self.pooling, "ablate_route": self.ablate_route,
-            "ablate_reducer": self.ablate_reducer, "ablate_kmeans_init": self.ablate_kmeans_init,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MicoConfig":
-        return cls(**{k: d[k] for k in (
-            "d", "anchors", "layers", "mlp_hidden", "task", "survival_bins",
-            "subtype_classes", "pooling", "ablate_route", "ablate_reducer",
-            "ablate_kmeans_init") if k in d})
+        """Build a config from a dict that may carry extra keys (a checkpoint's
+        fold, best epoch and bin edges), which are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +187,15 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor) -> tuple[Tensor,
 
 
 def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
-                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 activation: str = "gelu") -> Tensor:
+                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context)."""
     ctx = ad.matmul(A_hat, S_agg)
-    z = ad.add_bias(ad.matmul(ad.add(H, ctx), w1), b1)
-    z = ad.gelu(z) if activation == "gelu" else z
+    z = ad.gelu(ad.add_bias(ad.matmul(ad.add(H, ctx), w1), b1))
     z = ad.add_bias(ad.matmul(z, w2), b2)
     return ad.add(H, z)
 
 
-def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor,
-                   activation: str = "gelu") -> Tensor:
+def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor) -> Tensor:
     """Halve the anchor count with an MLP applied along the anchor axis.
 
     Weights are shared across feature dimensions: the (K, d) anchor matrix is
@@ -214,8 +204,7 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     K = S_agg.data.shape[0]
     if K < 2 or K % 2 != 0:
         raise ConfigError(f"cluster_reduce: anchor count {K} must be even and >= 2")
-    z = ad.add_bias(ad.matmul(ad.transpose(S_agg), r1), rb1)
-    z = ad.gelu(z) if activation == "gelu" else z
+    z = ad.gelu(ad.add_bias(ad.matmul(ad.transpose(S_agg), r1), rb1))
     z = ad.add_bias(ad.matmul(z, r2), rb2)
     return ad.transpose(z)
 

@@ -43,7 +43,6 @@ class TrainConfig:
     seed: int
     task: str = "survival"
     epochs: int = 200
-    batch_size: int = 1
     lr: float = 2e-4
     grad_accum: int = 2
     early_stop_patience: int = 8
@@ -60,8 +59,6 @@ class TrainConfig:
     kmeans_pool_cap: int = 50000
 
     def validate(self) -> None:
-        if self.batch_size != 1:
-            raise ConfigError(f"batch size is fixed at 1, got {self.batch_size}")
         if self.grad_accum < 1:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
         if self.epochs < 1 or self.early_stop_patience < 1:

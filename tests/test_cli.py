@@ -58,6 +58,26 @@ class TestExitCodes:
         assert main(["train", "--data", data_dir,
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
 
+    def test_missing_bag_returns_data_error(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        os.remove(os.path.join(data_dir, "bag0003.mbag"))
+        assert main(["train", "--data", data_dir,
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+
+    def test_missing_checkpoint_returns_data_error(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "none.mico"),
+                     "--data", data_dir]) == EXIT_DATA
+
+    def test_batch_size_in_config_returns_config_error(self, tmp_path, capsys):
+        # batch size is fixed at 1 and is no config field, so even 1 is unknown
+        data_dir = make_dataset(tmp_path)
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"batch_size": 1}))
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path)] + TRAIN_FLAGS) == EXIT_CONFIG
+        assert "batch_size" in capsys.readouterr().err
+
     def test_task_mismatch_returns_config_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         args = ["train", "--data", data_dir, "--out", str(tmp_path / "out"),

@@ -138,11 +138,19 @@ class TestBagIo:
             read_bag(str(p))
 
     def test_truncation_raises(self, tmp_path):
+        # the CRC is checked before any field, so a cut that leaves magic and
+        # a would-be checksum in place fails the CRC
         bag = self._bag()
         p = tmp_path / "t.mbag"
         write_bag(bag, str(p))
         raw = p.read_bytes()
         p.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(ChecksumError):
+            read_bag(str(p))
+
+    def test_shorter_than_magic_and_crc_raises_truncation_error(self, tmp_path):
+        p = tmp_path / "s.mbag"
+        p.write_bytes(md.MAGIC + b"\x00\x00\x00")
         with pytest.raises(TruncationError):
             read_bag(str(p))
 
@@ -151,7 +159,7 @@ class TestBagIo:
         p = tmp_path / "c.mbag"
         write_bag(bag, str(p))
         raw = bytearray(p.read_bytes())
-        raw[-20] ^= 0x01  # corrupt a payload byte, not the structure
+        raw[-20] ^= 0x01
         p.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             read_bag(str(p))
@@ -170,6 +178,11 @@ class TestBagIo:
             assert np.array_equal(x.features, y.features)
 
     def test_missing_manifest(self, tmp_path):
+        with pytest.raises(DataError):
+            read_dataset(str(tmp_path))
+
+    def test_unreadable_manifest(self, tmp_path):
+        (tmp_path / "manifest.txt").mkdir()
         with pytest.raises(DataError):
             read_dataset(str(tmp_path))
 

@@ -1,0 +1,109 @@
+"""Corruption sweeps over both framed formats: MBAG1 bags and MICO1 checkpoints.
+
+Every single-bit flip and every truncation of a valid file must raise a
+`FileFormatError`, and the CRC is checked before any field is parsed.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from mico import checkpoint, data
+from mico.checkpoint import load_checkpoint, save_checkpoint
+from mico.data import SynthConfig, generate, read_bag, write_bag
+from mico.errors import ChecksumError, DataError, HeaderError, TruncationError
+from mico.model import MicoConfig, MicoModel
+
+
+def write_small_bag(path):
+    bag = generate(SynthConfig(n_bags=1, d=3, seed=5, task="survival",
+                               m_range=(4, 4), n_prototypes=2, dispersion=2))[0]
+    assert bag.coords is not None and bag.true_type_map is not None
+    write_bag(bag, str(path))
+
+
+def write_small_checkpoint(path):
+    model = MicoModel(MicoConfig(d=2, anchors=2, layers=1, task="subtype"),
+                      rng=np.random.default_rng(0))
+    save_checkpoint(str(path), model.config.to_dict(), model.state_arrays())
+
+
+FORMATS = {
+    "bag": (write_small_bag, read_bag, data.MAGIC),
+    "checkpoint": (write_small_checkpoint, load_checkpoint, checkpoint.MAGIC),
+}
+
+
+def raised(reader, path):
+    try:
+        reader(str(path))
+    except Exception as exc:  # the sweep reports any escaping type
+        return type(exc)
+    return None
+
+
+@pytest.fixture(params=sorted(FORMATS))
+def framed_file(request, tmp_path):
+    writer, reader, magic = FORMATS[request.param]
+    path = tmp_path / "f.bin"
+    writer(path)
+    return path, path.read_bytes(), reader, magic
+
+
+def test_every_bit_flip_raises_header_or_checksum_error(framed_file):
+    path, raw, reader, magic = framed_file
+    wrong = []
+    for i in range(len(raw)):
+        for bit in (0, 7):
+            blob = bytearray(raw)
+            blob[i] ^= 1 << bit
+            path.write_bytes(bytes(blob))
+            want = HeaderError if i < len(magic) else ChecksumError
+            got = raised(reader, path)
+            if got is not want:
+                wrong.append((i, bit, got))
+    assert wrong == []
+
+
+def test_every_truncation_raises_file_format_error(framed_file):
+    path, raw, reader, magic = framed_file
+    wrong = []
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        want = TruncationError if n < len(magic) + 4 else ChecksumError
+        got = raised(reader, path)
+        if got is not want:
+            wrong.append((n, got))
+    assert wrong == []
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_invalid_utf8_bag_id_with_valid_crc_raises_header_error(tmp_path):
+    path = tmp_path / "b.mbag"
+    write_small_bag(path)
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[len(data.MAGIC) + 2] = 0xFF  # first byte of the bag id
+    path.write_bytes(with_crc(bytes(blob)))
+    with pytest.raises(HeaderError):
+        read_bag(str(path))
+
+
+def test_invalid_utf8_parameter_name_with_valid_crc_raises_header_error(tmp_path):
+    path = tmp_path / "m.mico"
+    write_small_checkpoint(path)
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[blob.index(b"head.w")] = 0xFF
+    path.write_bytes(with_crc(bytes(blob)))
+    with pytest.raises(HeaderError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("reader", [read_bag, load_checkpoint], ids=["bag", "checkpoint"])
+def test_missing_file_raises_data_error(tmp_path, reader):
+    with pytest.raises(DataError):
+        reader(str(tmp_path / "absent"))

@@ -205,15 +205,21 @@ class TestRouteUpdate:
 
 class TestClusterReduce:
     def test_linear_mode_averaging(self):
-        # first linear layer = identity, second = column of halving weights;
-        # gelu bypassed so the map is exactly the midpoint of the two rows
-        anchors = np.array([[1.0, 3.0], [5.0, 7.0]])
+        # first linear layer = identity, second = column of halving weights,
+        # so the two anchors reduce to the mean of their gelu images
+        anchors = np.array([[-1.5, 0.25, 3.0], [0.5, -2.0, 7.0]])
         r1 = Tensor(np.eye(2))
         rb1 = Tensor(np.zeros(2))
         r2 = Tensor(np.array([[0.5], [0.5]]))
         rb2 = Tensor(np.zeros(1))
-        out = cluster_reduce(Tensor(anchors), r1, rb1, r2, rb2, activation="identity")
-        assert np.array_equal(out.data, [[3.0, 5.0]])
+        out = cluster_reduce(Tensor(anchors), r1, rb1, r2, rb2)
+
+        def gelu(x):  # tanh approximation
+            return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+
+        expected = 0.5 * (gelu(anchors[0]) + gelu(anchors[1]))
+        assert out.data.shape == (1, 3)
+        np.testing.assert_allclose(out.data[0], expected, rtol=1e-14, atol=0.0)
 
     def test_output_shape_contract(self):
         rng = np.random.default_rng(8)

@@ -117,10 +117,6 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(tiny_config(task="survival"), small_bags(task="subtype"))
 
-    def test_batch_size_pinned(self):
-        with pytest.raises(ConfigError):
-            train(tiny_config(batch_size=2), small_bags())
-
 
 class TestArtifacts:
     def test_out_dir_contains_checkpoints_and_report(self, tmp_path):

@@ -190,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, MicoError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        # reads raise DataError, so this is an output that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

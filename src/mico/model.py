@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _accum, _make
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 
 NORM_CLAMP = 1e-12
 
@@ -37,7 +37,6 @@ def reset_zero_norm_clamp_count() -> None:
 class Assignment:
     """Record of one routing pass: similarities, hard choice, aggregation."""
     alignment: np.ndarray    # (M, K) cosine similarities
-    hard: np.ndarray         # (M, K) one-hot forward values
     indices: np.ndarray      # (M,) chosen anchor per instance
     counts: np.ndarray       # (K,) instances per anchor
     aggregated: np.ndarray   # (K, d) aggregated anchor values
@@ -96,13 +95,15 @@ def cosine_alignment(H: Tensor, S: Tensor) -> Tensor:
     """Cosine similarity between every instance row and every anchor row.
 
     Zero-norm rows are clamped at NORM_CLAMP (counted, not fatal); the clamp
-    contributes no gradient through the norm.
+    contributes no gradient through the norm. Bag features are checked before
+    the layer stack, so a non-finite input here was made by the model itself
+    (a diverging run) and raises NumericalError.
     """
     global _zero_norm_clamps
     if H.data.ndim != 2 or S.data.ndim != 2 or H.data.shape[1] != S.data.shape[1]:
         raise ShapeError(f"cosine_alignment: shapes {H.data.shape} and {S.data.shape} incompatible")
     if not (np.all(np.isfinite(H.data)) and np.all(np.isfinite(S.data))):
-        raise DataError("cosine_alignment: non-finite input")
+        raise NumericalError("cosine_alignment: non-finite input")
 
     u = np.linalg.norm(H.data, axis=1)
     v = np.linalg.norm(S.data, axis=1)
@@ -137,7 +138,7 @@ def ste_assign(A: Tensor) -> Tensor:
     if A.data.ndim != 2:
         raise ShapeError(f"ste_assign: rank-2 tensor required, got shape {A.data.shape}")
     if not np.all(np.isfinite(A.data)):
-        raise DataError("ste_assign: non-finite similarities")
+        raise NumericalError("ste_assign: non-finite similarities")
     idx = np.argmax(A.data, axis=1)
     hard = np.zeros_like(A.data)
     hard[np.arange(A.data.shape[0]), idx] = 1.0
@@ -281,6 +282,22 @@ class MicoModel:
         # pooling consumes the final anchors
         return layer < self.config.layers - 1 or self.config.pooling == "anchor_mean"
 
+    def trainable_params(self) -> dict[str, Tensor]:
+        """The parameters the bag output depends on, in ``params`` order.
+
+        Without routing, gated attention pools instances that never met an
+        anchor, so the anchors and reducers feed nothing. Anchor-mean pooling
+        reads the anchors aggregated before the last route update, so that
+        update feeds nothing.
+        """
+        cfg = self.config
+        cut: tuple[str, ...] = ()
+        if cfg.ablate_route and cfg.pooling == "gated_attention":
+            cut = ("anchors", "reduce")
+        elif not cfg.ablate_route and cfg.pooling == "anchor_mean":
+            cut = (f"route{cfg.layers - 1}.",)
+        return {name: p for name, p in self.params.items() if not name.startswith(cut)}
+
     def _param(self, name: str, data: np.ndarray) -> None:
         self.params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
@@ -320,7 +337,6 @@ class MicoModel:
             S_agg, counts = aggregate_anchors(H, A_hat, S)
             assignments.append(Assignment(
                 alignment=A.data.copy(),
-                hard=A_hat.data.copy(),
                 indices=np.argmax(A.data, axis=1),
                 counts=counts.copy(),
                 aggregated=S_agg.data.copy(),

@@ -21,7 +21,7 @@ from . import kmeans
 from .autodiff import Adam, Tensor, zero_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import FeatureBag, make_folds
-from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
+from .errors import ConfigError, DataError, HeaderError, NumericalError, UndefinedMetricError
 from .losses import (
     SubtypeLabel,
     SurvivalLabel,
@@ -139,13 +139,17 @@ def _metric_names(task: str) -> list[str]:
     return ["c_index"] if task == "survival" else ["acc", "f1", "auc"]
 
 
-def _check_task_labels(bags: list[FeatureBag], task: str) -> None:
+def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> None:
     want = SurvivalLabel if task == "survival" else SubtypeLabel
     for bag in bags:
         if not isinstance(bag.label, want):
             raise ConfigError(
                 f"task {task!r} but bag {bag.bag_id!r} carries a "
                 f"{type(bag.label).__name__}")
+        if want is SubtypeLabel and bag.label.class_index >= n_classes:
+            raise DataError(
+                f"bag {bag.bag_id!r} has class {bag.label.class_index}, "
+                f"but the task has {n_classes} classes")
 
 
 def _bag_loss(model: MicoModel, bag: FeatureBag, assign_mode: str = "hard") -> Tensor:
@@ -159,7 +163,7 @@ def _bag_loss(model: MicoModel, bag: FeatureBag, assign_mode: str = "hard") -> T
 def evaluate_model(model: MicoModel, bags: list[FeatureBag]) -> dict:
     """Deterministic metrics over a bag list; parameters are not mutated."""
     cfg = model.config
-    _check_task_labels(bags, cfg.task)
+    _check_task_labels(bags, cfg.task, cfg.subtype_classes)
     if cfg.task == "survival":
         risks = []
         for bag in bags:
@@ -216,13 +220,7 @@ def train_fold(config: TrainConfig, fold_index: int,
 
     anchors, init_kind = _init_anchors(config, train_bags, int(seeds[2]), init_rng)
     model = MicoModel(config.model_config(d), rng=init_rng, anchor_init=anchors)
-
-    # ablations can disconnect whole parameter groups from the loss (e.g. the
-    # anchors when routing is off); optimize only what is reachable
-    _bag_loss(model, train_bags[0]).backward()
-    trainable = {name: p for name, p in model.params.items() if p.grad is not None}
-    zero_grad(model.params.values())
-    opt = Adam(trainable, lr=config.lr)
+    opt = Adam(model.trainable_params(), lr=config.lr)
 
     stopper = EarlyStopper(config.early_stop_patience)
     best_state = model.state_arrays()
@@ -237,11 +235,14 @@ def train_fold(config: TrainConfig, fold_index: int,
         losses = []
         for j in order:
             bag = train_bags[int(j)]
-            loss = _bag_loss(model, bag)
-            if not np.isfinite(loss.data):
+            try:
+                loss = _bag_loss(model, bag)
+                if not np.isfinite(loss.data):
+                    raise NumericalError("NaN/Inf loss")
+            except NumericalError as exc:
                 raise NumericalError(
-                    f"fold {fold_index}: NaN/Inf loss on bag {bag.bag_id!r} "
-                    f"at epoch {epoch}")
+                    f"fold {fold_index}: {exc} on bag {bag.bag_id!r} "
+                    f"at epoch {epoch}") from exc
             losses.append(float(loss.data))
             # per-bag loss is pre-scaled so one accumulated step matches an
             # averaged batch of grad_accum bags
@@ -281,7 +282,7 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     """Full cross-validated run; optionally writes per-fold checkpoints and
     the report to ``out_dir``."""
     config.validate()
-    _check_task_labels(bags, config.task)
+    _check_task_labels(bags, config.task, config.subtype_classes)
     start = time.monotonic()
 
     by_id = {b.bag_id: b for b in bags}
@@ -290,6 +291,8 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     root_ss = np.random.SeedSequence(config.seed)
     fold_seeds = root_ss.spawn(config.n_folds)
 
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     results: list[FoldResult] = []
     for i, (train_ids, val_ids, test_ids) in enumerate(folds):
         result, model, edges = train_fold(
@@ -298,7 +301,6 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
             [by_id[b] for b in test_ids], fold_seeds[i], val_metric_fn=val_metric_fn)
         results.append(result)
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             meta = model.config.to_dict()
             meta["fold"] = i
             meta["best_epoch"] = result.best_epoch
@@ -322,20 +324,34 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     return report
 
 
-def evaluate_checkpoint(path: str, bags: list[FeatureBag]) -> dict:
+def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> tuple[dict, MicoModel]:
+    """Load a checkpoint into a model that accepts ``bags``; returns the
+    checkpoint's config dict too. A checkpoint whose CRC holds but whose
+    config or parameters do not fit together raises HeaderError."""
     cfg_dict, state = load_checkpoint(path)
-    cfg = MicoConfig.from_dict(cfg_dict)
-    _check_task_labels(bags, cfg.task)
+    try:
+        # a missing field, or a float size that validate() lets through,
+        # raises TypeError
+        model = MicoModel(MicoConfig.from_dict(cfg_dict), rng=np.random.default_rng(0))
+        model.load_state_arrays(state)
+    except (TypeError, ConfigError) as exc:
+        raise HeaderError(f"{path}: malformed checkpoint: {exc}") from exc
+    d = model.config.d
     for bag in bags:
-        if bag.features.shape[1] != cfg.d:
+        if bag.features.shape[1] != d:
             raise DataError(
-                f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, checkpoint expects {cfg.d}")
+                f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, checkpoint expects {d}")
+    return cfg_dict, model
+
+
+def evaluate_checkpoint(path: str, bags: list[FeatureBag]) -> dict:
+    cfg_dict, model = _model_from_checkpoint(path, bags)
+    cfg = model.config
+    _check_task_labels(bags, cfg.task, cfg.subtype_classes)
     if cfg.task == "survival":
         edges = np.array(cfg_dict.get("bin_edges", []), dtype=np.float64)
         if edges.size:
             _assign_bins(bags, edges)
-    model = MicoModel(cfg, rng=np.random.default_rng(0))
-    model.load_state_arrays(state)
     return evaluate_model(model, bags)
 
 
@@ -414,13 +430,7 @@ def comparison_table(reports: dict[str, RunReport], task: str) -> str:
 
 def export_assignments(ckpt_path: str, bag: FeatureBag) -> str:
     """Per-instance anchor assignment at every layer, as a text table."""
-    cfg_dict, state = load_checkpoint(ckpt_path)
-    cfg = MicoConfig.from_dict(cfg_dict)
-    if bag.features.shape[1] != cfg.d:
-        raise DataError(
-            f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, checkpoint expects {cfg.d}")
-    model = MicoModel(cfg, rng=np.random.default_rng(0))
-    model.load_state_arrays(state)
+    _, model = _model_from_checkpoint(ckpt_path, [bag])
     _, assignments = model.forward(bag.features)
 
     n_layers = len(assignments)
@@ -486,9 +496,9 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
     zero_grad(model.params.values())
     _bag_loss(model, bag, assign_mode="soft").backward()
 
+    # no ablation and gated-attention pooling: every parameter has a gradient
     errors = {}
     for name, p in model.params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         numeric = finite_difference_grad(loss_value, p.data)
-        errors[name] = rel_error(analytic, numeric)
+        errors[name] = rel_error(p.grad, numeric)
     return errors

@@ -4,7 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from mico.checkpoint import save_checkpoint
 from mico.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from mico.data import read_bag, write_bag
+from mico.losses import SubtypeLabel
+from mico.model import MicoConfig, MicoModel
 
 
 def synth_config(tmp_path, **kw):
@@ -25,6 +29,25 @@ def make_dataset(tmp_path, **kw):
     assert main(["synth", "--config", synth_config(tmp_path, **kw),
                  "--out", data_dir]) == EXIT_OK
     return data_dir
+
+
+def make_checkpoint(tmp_path, config=None, drop=()):
+    """A CRC-valid checkpoint of a fresh model matching make_dataset's bags;
+    ``config`` replaces the saved config and ``drop`` removes parameters."""
+    cfg = MicoConfig(d=6, anchors=4, layers=2, task="subtype")
+    state = MicoModel(cfg, rng=np.random.default_rng(0)).state_arrays()
+    for name in drop:
+        del state[name]
+    path = str(tmp_path / "model.mico")
+    save_checkpoint(path, cfg.to_dict() if config is None else config, state)
+    return path
+
+
+def relabel_bag(data_dir, name, class_index):
+    path = os.path.join(data_dir, name)
+    bag = read_bag(path)
+    bag.label = SubtypeLabel(class_index=class_index)
+    write_bag(bag, path)
 
 
 class TestExitCodes:
@@ -68,6 +91,55 @@ class TestExitCodes:
         data_dir = make_dataset(tmp_path)
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.mico"),
                      "--data", data_dir]) == EXIT_DATA
+
+    @pytest.mark.parametrize("config,drop,message", [
+        ({"task": "subtype", "anchors": 4, "layers": 2}, (), "'d'"),
+        ({"d": 6, "anchors": 6, "layers": 2, "task": "subtype"}, (), "anchor count 6"),
+        ({"d": 6, "anchors": 4.0, "layers": 2, "task": "subtype"}, (), "float"),
+        (None, ("head.b",), "'head.b'"),
+    ], ids=["missing-d", "indivisible-anchors", "float-anchors", "missing-param"])
+    def test_malformed_checkpoint_returns_data_error(self, tmp_path, capsys,
+                                                      config, drop, message):
+        data_dir = make_dataset(tmp_path)
+        ckpt = make_checkpoint(tmp_path, config=config, drop=drop)
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data_dir]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_export_to_missing_dir_returns_data_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path)
+        out = str(tmp_path / "missing" / "a.txt")
+        assert main(["export-assignments", "--checkpoint", make_checkpoint(tmp_path),
+                     "--bag", os.path.join(data_dir, "bag0001.mbag"),
+                     "--out", out]) == EXIT_DATA
+        assert out in capsys.readouterr().err
+
+    def test_train_out_under_regular_file_returns_data_error(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["train", "--data", data_dir, "--out", str(blocker / "run")]
+                    + TRAIN_FLAGS) == EXIT_DATA
+
+    def test_class_out_of_range_in_train_returns_data_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path)
+        relabel_bag(data_dir, "bag0005.mbag", 2)
+        assert main(["train", "--data", data_dir,
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+        assert "class 2" in capsys.readouterr().err
+
+    def test_class_out_of_range_in_evaluate_returns_data_error(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        relabel_bag(data_dir, "bag0005.mbag", 2)
+        assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path),
+                     "--data", data_dir]) == EXIT_DATA
+
+    def test_diverging_run_returns_numerical_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path)
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+                         "--lr", "1e300"] + TRAIN_FLAGS)
+        assert code == EXIT_NUMERICAL
+        assert "fold 0" in capsys.readouterr().err
 
     def test_batch_size_in_config_returns_config_error(self, tmp_path, capsys):
         # batch size is fixed at 1 and is no config field, so even 1 is unknown

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ from mico import autodiff as ad
 from mico import model as mm
 from mico.autodiff import Tensor
 from mico.checkpoint import load_checkpoint, save_checkpoint
-from mico.errors import ChecksumError, ConfigError, DataError, HeaderError, ShapeError
+from mico.errors import (
+    ChecksumError,
+    ConfigError,
+    DataError,
+    HeaderError,
+    NumericalError,
+    ShapeError,
+)
 from mico.model import (
     MicoConfig,
     MicoModel,
@@ -53,7 +61,7 @@ class TestCosineAlignment:
     def test_nan_input_rejected(self):
         H = np.zeros((2, 2))
         H[0, 0] = np.nan
-        with pytest.raises(DataError):
+        with pytest.raises(NumericalError):
             cosine_alignment(Tensor._nan_ok(H) if hasattr(Tensor, "_nan_ok") else _raw(H),
                              Tensor(np.ones((1, 2))))
 
@@ -370,6 +378,23 @@ class TestForward:
     def test_config_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             MicoConfig(d=4, anchors=6, layers=2)
+
+
+class TestTrainableParams:
+    def test_rule_matches_gradient_probe(self):
+        # the reference is a hard-routing forward + backward: exactly the
+        # parameters that receive a gradient are the ones the output reads
+        rng = np.random.default_rng(22)
+        for task, pooling, ablate_route, ablate_reducer, layers, m in itertools.product(
+                ("survival", "subtype"), ("gated_attention", "anchor_mean"),
+                (False, True), (False, True), (1, 2, 3), (1, 40)):
+            cfg = MicoConfig(d=5, anchors=8, layers=layers, task=task, pooling=pooling,
+                             ablate_route=ablate_route, ablate_reducer=ablate_reducer)
+            model = MicoModel(cfg, rng=rng)
+            out, _ = model.forward(rng.standard_normal((m, 5)))
+            ad.sum_(out).backward()
+            probed = [name for name, p in model.params.items() if p.grad is not None]
+            assert list(model.trainable_params()) == probed, (cfg, m)
 
 
 class TestCheckpoint:

@@ -5,6 +5,13 @@ inputs and a closure implementing the backward rule. ``backward`` on a scalar
 walks the recorded graph once in reverse topological order and accumulates
 gradients into every reachable leaf with ``requires_grad=True``.
 
+A backward rule never captures the op's output Tensor (it reaches the
+output's gradient through a weak reference), so the tape holds no reference
+cycles and every node dies with its last reference, without waiting for the
+cycle collector. ``backward`` spends the tape: once a node's rule has run,
+the node drops its rule, its inputs and its gradient. Only leaves keep their
+gradients, and a tape is differentiated once.
+
 Broadcasting is deliberately limited to scalar-with-tensor; the only other
 shape mix is ``add_bias`` (row vector added to every matrix row), which has
 its own explicit backward rule.
@@ -13,6 +20,7 @@ its own explicit backward rule.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -36,7 +44,7 @@ class Tensor:
     """A dense n-dimensional float64 array on the autodiff tape."""
 
     __slots__ = ("data", "requires_grad", "grad", "_children", "_backward", "_op",
-                 "_backward_done")
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _children: tuple = (), _op: str = "leaf"):
@@ -49,7 +57,6 @@ class Tensor:
         self._children = _children
         self._backward: Optional[Callable[[], None]] = None
         self._op = _op
-        self._backward_done = False
 
     @property
     def shape(self):
@@ -75,13 +82,18 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _make(data, children, op, bw_builder) -> Tensor:
-    """Create an op output; record backward only if some input needs grad."""
+def _make(data, children, op, bw) -> Tensor:
+    """Create an op output; record backward only if some input needs grad.
+
+    ``bw(g)`` accumulates the output's gradient ``g`` into the inputs. It may
+    capture the inputs and arrays, never the output Tensor.
+    """
     rg = any(c.requires_grad for c in children)
     out = Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg,
                  _children=tuple(children) if rg else (), _op=op)
     if rg:
-        out._backward = bw_builder(out)
+        ref = weakref.ref(out)
+        out._backward = lambda: bw(ref().grad)
     return out
 
 
@@ -98,20 +110,17 @@ def _binary(a, b, op: str, fwd, bwd_a, bwd_b) -> Tensor:
         _check_same_shape(a, b, op)
     data = fwd(a.data, b.data)
 
-    def build(out):
-        def _bw():
-            g = out.grad
-            ga = bwd_a(g, a.data, b.data, out.data)
-            gb = bwd_b(g, a.data, b.data, out.data)
-            if a_scalar and not b_scalar:
-                ga = np.sum(ga)
-            if b_scalar and not a_scalar:
-                gb = np.sum(gb)
-            _accum(a, ga)
-            _accum(b, gb)
-        return _bw
+    def bw(g):
+        ga = bwd_a(g, a.data, b.data)
+        gb = bwd_b(g, a.data, b.data)
+        if a_scalar and not b_scalar:
+            ga = np.sum(ga)
+        if b_scalar and not a_scalar:
+            gb = np.sum(gb)
+        _accum(a, ga)
+        _accum(b, gb)
 
-    return _make(data, (a, b), op, build)
+    return _make(data, (a, b), op, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +128,17 @@ def _binary(a, b, op: str, fwd, bwd_a, bwd_b) -> Tensor:
 
 def add(a, b) -> Tensor:
     return _binary(a, b, "add", lambda x, y: x + y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: g)
+                   lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
     return _binary(a, b, "sub", lambda x, y: x - y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: -g)
+                   lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, "mul", lambda x, y: x * y,
-                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
@@ -137,7 +146,7 @@ def div(a, b) -> Tensor:
     if np.any(b_arr == 0.0):
         raise DomainError("div: division by zero")
     return _binary(a, b, "div", lambda x, y: x / y,
-                   lambda g, x, y, o: g / y, lambda g, x, y, o: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def scale(a, c: Scalar) -> Tensor:
@@ -150,14 +159,8 @@ def neg(a) -> Tensor:
 
 def _unary(a, op: str, fwd, deriv) -> Tensor:
     a = _as_tensor(a)
-    data = fwd(a.data)
-
-    def build(out):
-        def _bw():
-            _accum(a, out.grad * deriv(a.data, out.data))
-        return _bw
-
-    return _make(data, (a,), op, build)
+    data = np.asarray(fwd(a.data), dtype=np.float64)
+    return _make(data, (a,), op, lambda g: _accum(a, g * deriv(a.data, data)))
 
 
 def exp(a) -> Tensor:
@@ -219,14 +222,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
     data = a.data @ b.data
 
-    def build(out):
-        def _bw():
-            g = out.grad
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        return _bw
+    def bw(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
-    return _make(data, (a, b), "matmul", build)
+    return _make(data, (a, b), "matmul", bw)
 
 
 def add_bias(mat, bias) -> Tensor:
@@ -236,39 +236,26 @@ def add_bias(mat, bias) -> Tensor:
         raise ShapeError(f"add_bias: shapes {mat.data.shape} and {bias.data.shape} incompatible")
     data = mat.data + bias.data[None, :]
 
-    def build(out):
-        def _bw():
-            _accum(mat, out.grad)
-            _accum(bias, out.grad.sum(axis=0))
-        return _bw
+    def bw(g):
+        _accum(mat, g)
+        _accum(bias, g.sum(axis=0))
 
-    return _make(data, (mat, bias), "add_bias", build)
+    return _make(data, (mat, bias), "add_bias", bw)
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: rank-2 tensor required, got shape {a.data.shape}")
-
-    def build(out):
-        def _bw():
-            _accum(a, out.grad.T)
-        return _bw
-
-    return _make(a.data.T, (a,), "transpose", build)
+    return _make(a.data.T, (a,), "transpose", lambda g: _accum(a, g.T))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot view size {a.data.size} as {shape}")
-
-    def build(out):
-        def _bw():
-            _accum(a, out.grad.reshape(a.data.shape))
-        return _bw
-
-    return _make(a.data.reshape(shape), (a,), "reshape", build)
+    return _make(a.data.reshape(shape), (a,), "reshape",
+                 lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
 def _check_axis(a: Tensor, axis):
@@ -281,16 +268,12 @@ def sum_(a, axis=None) -> Tensor:
     _check_axis(a, axis)
     data = a.data.sum(axis=axis)
 
-    def build(out):
-        def _bw():
-            g = out.grad
-            if axis is None:
-                _accum(a, np.broadcast_to(g, a.data.shape))
-            else:
-                _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-        return _bw
+    def bw(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
-    return _make(data, (a,), "sum", build)
+    return _make(data, (a,), "sum", bw)
 
 
 def mean(a, axis=None) -> Tensor:
@@ -323,14 +306,12 @@ def logsumexp(a) -> Tensor:
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``
+    and spend the tape: op outputs drop their rule, inputs and gradient."""
     if loss.data.ndim != 0:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphError("backward: tensor is detached from the tape (requires_grad=False)")
-    if loss._backward_done:
-        raise GraphError("backward: repeated call on the same loss without a new forward pass")
-    loss._backward_done = True
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -342,6 +323,11 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._op != "leaf" and node._backward is None:
+            # the loss itself on a repeated call, or a node shared with a
+            # loss that was already differentiated
+            raise GraphError("backward: this tape was spent by an earlier backward; "
+                             "run a new forward pass")
         visited.add(id(node))
         stack.append((node, True))
         for child in node._children:
@@ -350,8 +336,10 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward()
+            node._backward, node._children, node.grad = None, (), None
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

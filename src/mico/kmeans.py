@@ -18,8 +18,13 @@ class KMeansResult:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """(n, k) squared distances, one center at a time: the temporary is
+    (n, d), never (n, k, d)."""
+    d2 = np.empty((points.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        diff = points - c
+        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return d2
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

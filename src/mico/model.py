@@ -11,6 +11,7 @@ one bag-level vector for the task head.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,6 +43,20 @@ class Assignment:
     aggregated: np.ndarray   # (K, d) aggregated anchor values
 
 
+def check_int_fields(config) -> None:
+    """Reject a value that is not an ``int`` (or is a ``bool``) in any field
+    of a config dataclass annotated ``int``; ``int | None`` also takes None."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if hints[f.name] == int | None and value is None:
+            continue
+        if hints[f.name] in (int, int | None) and (
+                not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(
+                f"{f.name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 @dataclass
 class MicoConfig:
     d: int
@@ -62,6 +77,7 @@ class MicoConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_int_fields(self)
         if self.d < 1:
             raise ConfigError(f"feature dim must be >= 1, got {self.d}")
         if self.layers < 1:
@@ -114,18 +130,15 @@ def cosine_alignment(H: Tensor, S: Tensor) -> Tensor:
     v = np.maximum(v, NORM_CLAMP)
     A = (H.data / u[:, None]) @ (S.data / v[:, None]).T
 
-    def build(out):
-        def _bw():
-            g = out.grad
-            gH = (g / v[None, :]) @ S.data / u[:, None] \
-                - H.data * ((g * A).sum(axis=1) / u ** 2)[:, None]
-            gS = (g.T / u[None, :]) @ H.data / v[:, None] \
-                - S.data * ((g * A).sum(axis=0) / v ** 2)[:, None]
-            _accum(H, gH)
-            _accum(S, gS)
-        return _bw
+    def bw(g):
+        gH = (g / v[None, :]) @ S.data / u[:, None] \
+            - H.data * ((g * A).sum(axis=1) / u ** 2)[:, None]
+        gS = (g.T / u[None, :]) @ H.data / v[:, None] \
+            - S.data * ((g * A).sum(axis=0) / v ** 2)[:, None]
+        _accum(H, gH)
+        _accum(S, gS)
 
-    return _make(A, (H, S), "cosine_alignment", build)
+    return _make(A, (H, S), "cosine_alignment", bw)
 
 
 def ste_assign(A: Tensor) -> Tensor:
@@ -142,13 +155,7 @@ def ste_assign(A: Tensor) -> Tensor:
     idx = np.argmax(A.data, axis=1)
     hard = np.zeros_like(A.data)
     hard[np.arange(A.data.shape[0]), idx] = 1.0
-
-    def build(out):
-        def _bw():
-            _accum(A, out.grad)
-        return _bw
-
-    return _make(hard, (A,), "ste_assign", build)
+    return _make(hard, (A,), "ste_assign", lambda g: _accum(A, g))
 
 
 def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -173,18 +180,14 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor) -> tuple[Tensor,
     agg = (W.T @ H.data) / safe[:, None]
     agg[empty] = S_prev.data[empty]
 
-    def build(out):
-        def _bw():
-            g = out.grad
-            g_eff = np.where(empty[:, None], 0.0, g)
-            _accum(H, (W / safe[None, :]) @ g_eff)
-            # d agg_k / d W[m,k] = (h_m - agg_k) / N_k
-            _accum(A_hat, ((H.data @ g_eff.T) - (agg * g_eff).sum(axis=1)[None, :]) / safe[None, :])
-            _accum(S_prev, np.where(empty[:, None], g, 0.0))
-        return _bw
+    def bw(g):
+        g_eff = np.where(empty[:, None], 0.0, g)
+        _accum(H, (W / safe[None, :]) @ g_eff)
+        # d agg_k / d W[m,k] = (h_m - agg_k) / N_k
+        _accum(A_hat, ((H.data @ g_eff.T) - (agg * g_eff).sum(axis=1)[None, :]) / safe[None, :])
+        _accum(S_prev, np.where(empty[:, None], g, 0.0))
 
-    out = _make(agg, (H, A_hat, S_prev), "aggregate_anchors", build)
-    return out, counts
+    return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
 def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
@@ -225,14 +228,8 @@ def _soft_assign(A: Tensor) -> Tensor:
     z = A.data - A.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     P = e / e.sum(axis=1, keepdims=True)
-
-    def build(out):
-        def _bw():
-            g = out.grad
-            _accum(A, P * (g - (g * P).sum(axis=1, keepdims=True)))
-        return _bw
-
-    return _make(P, (A,), "row_softmax", build)
+    return _make(P, (A,), "row_softmax",
+                 lambda g: _accum(A, P * (g - (g * P).sum(axis=1, keepdims=True))))
 
 
 # ---------------------------------------------------------------------------

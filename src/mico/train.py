@@ -32,7 +32,7 @@ from .losses import (
     time_to_bin,
 )
 from .metrics import c_index, classification_metrics
-from .model import MicoConfig, MicoModel, random_anchor_init
+from .model import MicoConfig, MicoModel, check_int_fields, random_anchor_init
 
 OPTIMIZER_NOTE = "optimizer: Adam substituted for the Ranger-style optimizer"
 KMEANS_NOTE = "anchor K-means runs per fold on that fold's training instances only"
@@ -59,6 +59,7 @@ class TrainConfig:
     kmeans_pool_cap: int = 50000
 
     def validate(self) -> None:
+        check_int_fields(self)
         if self.grad_accum < 1:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
         if self.epochs < 1 or self.early_stop_patience < 1:
@@ -330,8 +331,7 @@ def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> tuple[dict, Mic
     config or parameters do not fit together raises HeaderError."""
     cfg_dict, state = load_checkpoint(path)
     try:
-        # a missing field, or a float size that validate() lets through,
-        # raises TypeError
+        # a missing field raises TypeError
         model = MicoModel(MicoConfig.from_dict(cfg_dict), rng=np.random.default_rng(0))
         model.load_state_arrays(state)
     except (TypeError, ConfigError) as exc:

@@ -136,6 +136,14 @@ class TestBackward:
         with pytest.raises(GraphError):
             loss.backward()
 
+    def test_backward_through_spent_node_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, x)
+        ad.sum_(y).backward()
+        with pytest.raises(GraphError):
+            ad.sum_(ad.scale(y, 3.0)).backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
     def test_zero_grad_resets(self):
         x = Tensor([1.0], requires_grad=True)
         ad.sum_(x).backward()

@@ -150,6 +150,22 @@ class TestExitCodes:
                      "--config", str(cfg_path)] + TRAIN_FLAGS) == EXIT_CONFIG
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("anchor_count", 4.0), ("layers", 1.0), ("epochs", 1.5), ("n_folds", 2.0),
+        ("kmeans_pool_cap", 10.5), ("mlp_hidden", 3.0), ("grad_accum", True),
+    ])
+    def test_non_integer_config_field_returns_config_error(self, tmp_path, capsys,
+                                                           field, value):
+        data_dir = make_dataset(tmp_path)
+        cfg = {"epochs": 2, "anchor_count": 4, "layers": 2, field: value}
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path), "--seed", "3",
+                     "--task", "subtype"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err and "integer" in err
+
     def test_task_mismatch_returns_config_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         args = ["train", "--data", data_dir, "--out", str(tmp_path / "out"),

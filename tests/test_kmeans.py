@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,34 @@ class TestFit:
         X[0, 0] = np.nan
         with pytest.raises(DataError):
             kmeans.fit(X, k=2)
+
+
+def sq_dists_3d(points, centers):
+    """The (n, k, d) broadcast formula the per-center loop must reproduce."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("n,k,d", [(1, 1, 1), (7, 3, 5), (40, 16, 32),
+                                       (33, 5, 13), (50, 64, 512)])
+    def test_bit_identical_to_broadcast_formula(self, n, k, d):
+        rng = np.random.default_rng(n * k + d)
+        points = rng.standard_normal((n, d)) * 30.0
+        centers = rng.standard_normal((k, d))
+        assert np.array_equal(kmeans._sq_dists(points, centers), sq_dists_3d(points, centers))
+
+    def test_temporary_is_bounded_by_points_not_points_times_centers(self):
+        n, k, d = 4000, 64, 32
+        rng = np.random.default_rng(0)
+        points, centers = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+        tracemalloc.start()
+        try:
+            kmeans._sq_dists(points, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * d * 8 / 4
 
 
 def make_bags(rng, n_bags, m, d):

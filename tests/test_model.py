@@ -379,6 +379,14 @@ class TestForward:
         with pytest.raises(ConfigError):
             MicoConfig(d=4, anchors=6, layers=2)
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", 4.0), ("anchors", 8.0), ("layers", True), ("mlp_hidden", 3.0),
+        ("survival_bins", 4.0), ("subtype_classes", "2"),
+    ])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MicoConfig(**dict({"d": 4, "anchors": 8, "layers": 2}, **{field: value}))
+
 
 class TestTrainableParams:
     def test_rule_matches_gradient_probe(self):

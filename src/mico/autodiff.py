@@ -12,15 +12,25 @@ cycle collector. ``backward`` spends the tape: once a node's rule has run,
 the node drops its rule, its inputs and its gradient. Only leaves keep their
 gradients, and a tape is differentiated once.
 
+Under ``no_grad()`` ops record nothing: outputs carry no inputs and no rule,
+so scoring builds no tape at all.
+
 Broadcasting is deliberately limited to scalar-with-tensor; the only other
 shape mix is ``add_bias`` (row vector added to every matrix row), which has
 its own explicit backward rule.
+
+A pack is B bags stacked into one (sum of M, d) matrix with row offsets, the
+varlen layout of FlashAttention-2; ``Segments`` describes it, and the
+segment-aware ops (``matmul`` with ``seg``, ``softmax`` with ``seg``,
+``weighted_sum``, ``transpose`` with ``blocks``) keep every bag apart.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import weakref
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -38,6 +48,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 Scalar = Union[int, float]
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops record no tape (evaluation and export). The
+    switch is process-wide, not per thread."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -69,6 +93,83 @@ class Tensor:
         backward(self)
 
 
+class Segments:
+    """Row layout of a pack of B bags.
+
+    Bag b owns rows ``offsets[b]:offsets[b + 1]`` of a packed (sum of M, p)
+    matrix, and the b-th of B equal row blocks of a stacked per-bag matrix
+    (for example B blocks of K anchors, (B*K, d)). The methods work on plain
+    arrays; a pack of one takes the plain NumPy path.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.intp)
+        if self.sizes.ndim != 1 or self.sizes.size == 0 or np.any(self.sizes < 1):
+            raise ShapeError(f"segments: need one or more positive sizes, got {sizes!r}")
+        self.count = int(self.sizes.size)
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.rows = int(self.offsets[-1])
+        self._width = int(self.sizes.max())
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The bag of every packed row."""
+        return np.repeat(np.arange(self.count), self.sizes)
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        # each packed row's place in a (B, largest M) zero-padded layout
+        return self.ids * self._width + np.arange(self.rows) - self.offsets[:-1][self.ids]
+
+    def _pad(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.count * self._width, x.shape[1]))
+        out[self._slots] = x
+        return out.reshape(self.count, self._width, x.shape[1])
+
+    def _unpad(self, y: np.ndarray) -> np.ndarray:
+        return y.reshape(-1, y.shape[2])[self._slots]
+
+    def _blocks(self, y: np.ndarray) -> np.ndarray:
+        """A stacked (B*p, q) matrix as its (B, p, q) blocks."""
+        if y.ndim != 2 or y.shape[0] % self.count:
+            raise ShapeError(f"segments: {y.shape} is not {self.count} stacked blocks")
+        return y.reshape(self.count, y.shape[0] // self.count, y.shape[1])
+
+    def matmul(self, x: np.ndarray, y: np.ndarray, trans_y: bool = False) -> np.ndarray:
+        """Rows of bag b times block b of ``y`` (transposed with ``trans_y``):
+        (N, p) and (B*p, q), or (B*q, p) with ``trans_y``, give (N, q)."""
+        yb = self._blocks(y)
+        if trans_y:
+            yb = yb.transpose(0, 2, 1)
+        if self.count == 1:
+            return x @ yb[0]
+        return self._unpad(self._pad(x) @ yb)
+
+    def outer(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Block b is x_b.T @ y_b: (N, p) and (N, q) give (B*p, q)."""
+        if self.count == 1:
+            return x.T @ y
+        z = self._pad(x).transpose(0, 2, 1) @ self._pad(y)
+        return z.reshape(-1, z.shape[2])
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-bag sums over rows: (N, ...) gives (B, ...)."""
+        if self.count == 1:
+            return x.sum(axis=0, keepdims=True)
+        return np.add.reduceat(x, self.offsets[:-1], axis=0)
+
+    def max(self, x: np.ndarray) -> np.ndarray:
+        """Per-bag maxima over rows: (N, ...) gives (B, ...)."""
+        if self.count == 1:
+            return x.max(axis=0, keepdims=True)
+        return np.maximum.reduceat(x, self.offsets[:-1], axis=0)
+
+    def spread(self, v: np.ndarray) -> np.ndarray:
+        """Per-bag values (B, ...) onto the packed rows; a pack of one
+        returns its single row, which broadcasts."""
+        return v if self.count == 1 else v[self.ids]
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -83,12 +184,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data, children, op, bw) -> Tensor:
-    """Create an op output; record backward only if some input needs grad.
+    """Create an op output; record backward only if some input needs grad
+    and gradients are enabled.
 
     ``bw(g)`` accumulates the output's gradient ``g`` into the inputs. It may
     capture the inputs and arrays, never the output Tensor.
     """
-    rg = any(c.requires_grad for c in children)
+    rg = _grad_enabled and any(c.requires_grad for c in children)
     out = Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg,
                  _children=tuple(children) if rg else (), _op=op)
     if rg:
@@ -176,14 +278,25 @@ def log(a) -> Tensor:
 
 def gelu(a) -> Tensor:
     """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
+    # products, not powers (``x ** 3`` takes the slow general pow path), and
+    # one temporary updated in place; scaling by 0.5 last is exact
     def fwd(x):
-        return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
+        t = x * x
+        t *= x
+        t *= _GELU_A
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        t += 1.0
+        t *= x
+        t *= 0.5
+        return t
 
     def deriv(x, o):
-        inner = _GELU_C * (x + _GELU_A * x ** 3)
-        t = np.tanh(inner)
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+        x2 = x * x
+        t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 
     return _unary(a, "gelu", fwd, deriv)
 
@@ -193,12 +306,15 @@ def tanh(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
+    # masked indexing: with e = exp(-|x|) the numerator is max(e, x >= 0)
     def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        out = np.maximum(e, (x >= 0).astype(np.float64))
+        e += 1.0
+        out /= e
         return out
 
     return _unary(a, "sigmoid", fwd, lambda x, o: o * (1.0 - o))
@@ -214,19 +330,47 @@ def log_sigmoid(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # structural ops
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, seg: Segments | None = None) -> Tensor:
+    """a @ b; with ``seg``, the rows of bag i in ``a`` times the i-th of the
+    ``seg.count`` stacked row blocks of ``b``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: operands must be rank-2, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
-    data = a.data @ b.data
+    blocks = 1 if seg is None else seg.count
+    if a.data.shape[1] * blocks != b.data.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}"
+                         + (f" in {blocks} blocks" if blocks > 1 else ""))
+    if seg is None:
+        data = a.data @ b.data
 
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        def bw(g):
+            _accum(a, g @ b.data.T)
+            _accum(b, a.data.T @ g)
+    else:
+        data = seg.matmul(a.data, b.data)
+
+        def bw(g):
+            _accum(a, seg.matmul(g, b.data, trans_y=True))
+            _accum(b, seg.outer(a.data, g))
 
     return _make(data, (a, b), "matmul", bw)
+
+
+def weighted_sum(w, x, seg: Segments | None = None) -> Tensor:
+    """Per-bag weighted row sums: (N,) weights and (N, d) rows give (B, d),
+    row b summing ``w[i] * x[i]`` over the rows i of bag b."""
+    w, x = _as_tensor(w), _as_tensor(x)
+    if w.data.ndim != 1 or x.data.ndim != 2 or w.data.shape[0] != x.data.shape[0]:
+        raise ShapeError(f"weighted_sum: shapes {w.data.shape} and {x.data.shape} incompatible")
+    seg = seg or Segments([x.data.shape[0]])
+    data = seg.sum(w.data[:, None] * x.data)
+
+    def bw(g):
+        G = seg.spread(g)
+        _accum(w, (x.data * G).sum(axis=1))
+        _accum(x, w.data[:, None] * G)
+
+    return _make(data, (w, x), "weighted_sum", bw)
 
 
 def add_bias(mat, bias) -> Tensor:
@@ -243,11 +387,23 @@ def add_bias(mat, bias) -> Tensor:
     return _make(data, (mat, bias), "add_bias", bw)
 
 
-def transpose(a) -> Tensor:
+def _block_transpose(x: np.ndarray, blocks: int) -> np.ndarray:
+    if blocks == 1:
+        return x.T
+    r, c = x.shape[0] // blocks, x.shape[1]
+    return x.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
+
+
+def transpose(a, blocks: int = 1) -> Tensor:
+    """Transpose each of ``blocks`` stacked row blocks: (blocks*R, C) gives
+    (blocks*C, R)."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: rank-2 tensor required, got shape {a.data.shape}")
-    return _make(a.data.T, (a,), "transpose", lambda g: _accum(a, g.T))
+    if a.data.shape[0] % blocks:
+        raise ShapeError(f"transpose: {a.data.shape[0]} rows are not {blocks} blocks")
+    return _make(_block_transpose(a.data, blocks), (a,), "transpose",
+                 lambda g: _accum(a, _block_transpose(g, blocks)))
 
 
 def reshape(a, shape) -> Tensor:
@@ -283,14 +439,21 @@ def mean(a, axis=None) -> Tensor:
     return scale(sum_(a, axis=axis), 1.0 / n)
 
 
-def softmax(a) -> Tensor:
-    """Softmax over a rank-1 tensor, shift-stabilized."""
+def softmax(a, seg: Segments | None = None) -> Tensor:
+    """Softmax over a rank-1 tensor, shift-stabilized; with ``seg``, over
+    each bag's entries separately."""
     a = _as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError(f"softmax: rank-1 tensor required, got shape {a.data.shape}")
-    m = float(a.data.max())
-    e = exp(sub(a, m))
-    return div(e, sum_(e))
+    seg = seg or Segments([a.data.shape[0]])
+    e = np.exp(a.data - seg.spread(seg.max(a.data)))
+    P = e / seg.spread(seg.sum(e))
+
+    def bw(g):
+        gP = g * P
+        _accum(a, gP - P * seg.spread(seg.sum(gP)))
+
+    return _make(P, (a,), "softmax", bw)
 
 
 def logsumexp(a) -> Tensor:

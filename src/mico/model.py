@@ -36,11 +36,12 @@ def reset_zero_norm_clamp_count() -> None:
 
 @dataclass
 class Assignment:
-    """Record of one routing pass: similarities, hard choice, aggregation."""
-    alignment: np.ndarray    # (M, K) cosine similarities
-    indices: np.ndarray      # (M,) chosen anchor per instance
-    counts: np.ndarray       # (K,) instances per anchor
-    aggregated: np.ndarray   # (K, d) aggregated anchor values
+    """Record of one routing pass over a pack of B bags: similarities, hard
+    choice, aggregation."""
+    alignment: np.ndarray    # (sum of M, K) cosine similarities
+    indices: np.ndarray      # (sum of M,) chosen anchor per instance
+    counts: np.ndarray       # (B*K,) instances per anchor, bag-major
+    aggregated: np.ndarray   # (B*K, d) aggregated anchor values, bag-major
 
 
 def check_int_fields(config) -> None:
@@ -106,9 +107,17 @@ class MicoConfig:
 
 # ---------------------------------------------------------------------------
 # routing ops
+#
+# Every op takes a pack: B bags stacked into one (sum of M, d) matrix H with
+# the row layout ``seg`` (``autodiff.Segments``). Per-bag anchors are stacked
+# as (B*K, d), bag b's in rows b*K:(b+1)*K. Without ``seg`` an op sees one bag.
 
-def cosine_alignment(H: Tensor, S: Tensor) -> Tensor:
+def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments | None = None) -> Tensor:
     """Cosine similarity between every instance row and every anchor row.
+
+    With ``seg``, S holds one block of anchors per bag and each bag's rows
+    align against their own block; without it, every row aligns against all
+    of S (the first layer's anchors, shared by the pack).
 
     Zero-norm rows are clamped at NORM_CLAMP (counted, not fatal); the clamp
     contributes no gradient through the norm. Bag features are checked before
@@ -128,15 +137,15 @@ def cosine_alignment(H: Tensor, S: Tensor) -> Tensor:
         _zero_norm_clamps += n_clamped
     u = np.maximum(u, NORM_CLAMP)
     v = np.maximum(v, NORM_CLAMP)
-    A = (H.data / u[:, None]) @ (S.data / v[:, None]).T
+    Hn = H.data / u[:, None]
+    Sn = S.data / v[:, None]
+    seg = seg or ad.Segments([H.data.shape[0]])
+    A = seg.matmul(Hn, Sn, trans_y=True)
 
     def bw(g):
-        gH = (g / v[None, :]) @ S.data / u[:, None] \
-            - H.data * ((g * A).sum(axis=1) / u ** 2)[:, None]
-        gS = (g.T / u[None, :]) @ H.data / v[:, None] \
-            - S.data * ((g * A).sum(axis=0) / v ** 2)[:, None]
-        _accum(H, gH)
-        _accum(S, gS)
+        gA = g * A
+        _accum(H, (seg.matmul(g, Sn) - Hn * gA.sum(axis=1)[:, None]) / u[:, None])
+        _accum(S, (seg.outer(g, Hn) - Sn * seg.sum(gA).reshape(-1)[:, None]) / v[:, None])
 
     return _make(A, (H, S), "cosine_alignment", bw)
 
@@ -158,69 +167,87 @@ def ste_assign(A: Tensor) -> Tensor:
     return _make(hard, (A,), "ste_assign", lambda g: _accum(A, g))
 
 
-def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Weighted mean of assigned instances per anchor.
+def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
+                      seg: ad.Segments | None = None) -> tuple[Tensor, np.ndarray]:
+    """Weighted mean of each bag's assigned instances per anchor: a
+    scatter-mean per (bag, anchor), returned as (B*K, d) with the (B*K,)
+    assignment weights.
 
-    Anchors with zero assignment weight carry their previous value through
-    bit-exactly and contribute no gradient to the instance features. The
-    backward rule is exact for arbitrary non-negative weights, so the same op
-    serves both hard one-hot routing and the soft relaxation used by the
-    finite-difference suite.
+    ``S_prev`` is one (K, d) anchor set shared by the pack or (B*K, d) per
+    bag. A bag's anchor with zero assignment weight carries that bag's
+    previous value through bit-exactly and contributes no gradient to the
+    instance features. The backward rule is exact for arbitrary non-negative
+    weights, so the same op serves both hard one-hot routing and the soft
+    relaxation used by the finite-difference suite.
     """
     M, d = H.data.shape
-    K = S_prev.data.shape[0]
-    if A_hat.data.shape != (M, K) or S_prev.data.shape != (K, d):
+    K = A_hat.data.shape[-1]
+    seg = seg or ad.Segments([M])
+    B = seg.count
+    shared = S_prev.data.shape == (K, d)
+    if (A_hat.data.shape != (M, K) or seg.rows != M
+            or not (shared or S_prev.data.shape == (B * K, d))):
         raise ShapeError(
-            f"aggregate_anchors: shapes H{H.data.shape} A{A_hat.data.shape} S{S_prev.data.shape} inconsistent")
+            f"aggregate_anchors: shapes H{H.data.shape} A{A_hat.data.shape} S{S_prev.data.shape} "
+            f"inconsistent for {B} bags")
 
     W = A_hat.data
-    counts = W.sum(axis=0)
+    counts = seg.sum(W).reshape(-1)
     empty = counts == 0.0
     safe = np.where(empty, 1.0, counts)
-    agg = (W.T @ H.data) / safe[:, None]
-    agg[empty] = S_prev.data[empty]
+    prev = np.tile(S_prev.data, (B, 1)) if shared and B > 1 else S_prev.data
+    agg = seg.outer(W, H.data) / safe[:, None]
+    agg[empty] = prev[empty]
 
     def bw(g):
-        g_eff = np.where(empty[:, None], 0.0, g)
-        _accum(H, (W / safe[None, :]) @ g_eff)
-        # d agg_k / d W[m,k] = (h_m - agg_k) / N_k
-        _accum(A_hat, ((H.data @ g_eff.T) - (agg * g_eff).sum(axis=1)[None, :]) / safe[None, :])
-        _accum(S_prev, np.where(empty[:, None], g, 0.0))
+        # d agg_k / d W[m,k] = (h_m - agg_k) / N_k, within the bag of m
+        q = np.where(empty[:, None], 0.0, g) / safe[:, None]
+        _accum(H, seg.matmul(W, q))
+        _accum(A_hat, seg.matmul(H.data, q, trans_y=True)
+               - seg.spread((agg * q).sum(axis=1).reshape(B, K)))
+        g_prev = np.where(empty[:, None], g, 0.0)
+        _accum(S_prev, g_prev.reshape(B, K, d).sum(axis=0) if shared else g_prev)
 
     return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
 def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
-                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Residual instance refinement: h' = h + MLP(h + assigned context)."""
-    ctx = ad.matmul(A_hat, S_agg)
+                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 seg: ad.Segments | None = None) -> Tensor:
+    """Residual instance refinement: h' = h + MLP(h + assigned context),
+    each row's context drawn from its own bag's anchors."""
+    ctx = ad.matmul(A_hat, S_agg, seg)
     z = ad.gelu(ad.add_bias(ad.matmul(ad.add(H, ctx), w1), b1))
     z = ad.add_bias(ad.matmul(z, w2), b2)
     return ad.add(H, z)
 
 
-def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor) -> Tensor:
+def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor,
+                   bags: int = 1) -> Tensor:
     """Halve the anchor count with an MLP applied along the anchor axis.
 
-    Weights are shared across feature dimensions: the (K, d) anchor matrix is
-    transposed to (d, K), mapped K -> K -> K/2, and transposed back.
+    Weights are shared across feature dimensions and bags: the (B*K, d)
+    stacked anchors become one (B*d, K) matrix, mapped K -> K -> K/2, and
+    turned back into (B*K/2, d).
     """
-    K = S_agg.data.shape[0]
+    if S_agg.data.shape[0] % bags:
+        raise ShapeError(f"cluster_reduce: {S_agg.data.shape[0]} anchor rows for {bags} bags")
+    K = S_agg.data.shape[0] // bags
     if K < 2 or K % 2 != 0:
         raise ConfigError(f"cluster_reduce: anchor count {K} must be even and >= 2")
-    z = ad.gelu(ad.add_bias(ad.matmul(ad.transpose(S_agg), r1), rb1))
+    z = ad.gelu(ad.add_bias(ad.matmul(ad.transpose(S_agg, bags), r1), rb1))
     z = ad.add_bias(ad.matmul(z, r2), rb2)
-    return ad.transpose(z)
+    return ad.transpose(z, bags)
 
 
-def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Gated attention over instances; returns the (1, d) pooled feature and
-    the attention weights (which sum to 1)."""
+def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
+                         seg: ad.Segments | None = None) -> tuple[Tensor, np.ndarray]:
+    """Gated attention over each bag's instances; returns the (B, d) pooled
+    features and the attention weights (which sum to 1 within each bag)."""
     gate = ad.mul(ad.tanh(ad.matmul(H, V)), ad.sigmoid(ad.matmul(H, U)))
     scores = ad.reshape(ad.matmul(gate, w), (H.data.shape[0],))
-    attn = ad.softmax(scores)
-    pooled = ad.matmul(ad.reshape(attn, (1, H.data.shape[0])), H)
-    return pooled, attn.data.copy()
+    attn = ad.softmax(scores, seg)
+    return ad.weighted_sum(attn, H, seg), attn.data
 
 
 def _soft_assign(A: Tensor) -> Tensor:
@@ -236,7 +263,7 @@ def _soft_assign(A: Tensor) -> Tensor:
 # full model
 
 class MicoModel:
-    """Parameter container plus the forward pass over one bag."""
+    """Parameter container plus the forward pass over a pack of bags."""
 
     def __init__(self, config: MicoConfig, rng: np.random.Generator,
                  anchor_init: np.ndarray | None = None):
@@ -311,49 +338,60 @@ class MicoModel:
             p.data = np.array(state[name], dtype=np.float64, copy=True)
 
     def forward(self, features, assign_mode: str = "hard") -> tuple[Tensor, list[Assignment]]:
-        """Run one bag through the layer stack, pooling and task head.
+        """Run a pack of bags through the layer stack, pooling and task head.
+
+        ``features`` is one (M, d) bag (a pack of one) or a list of them.
+        Returns the (B, C) outputs, row b for bag b, and one ``Assignment``
+        per layer whose rows follow the packed instances and whose counts and
+        aggregates are stacked per bag, (B*K,) and (B*K, d).
 
         ``assign_mode="soft"`` replaces the hard straight-through assignment
         with a row-softmax so the whole forward map is smooth; used only by
         the finite-difference gradient suite.
         """
         cfg = self.config
-        H = features if isinstance(features, Tensor) else Tensor(features)
-        if H.data.ndim != 2 or H.data.shape[1] != cfg.d:
-            raise DataError(f"bag features must be (M, {cfg.d}), got {H.data.shape}")
-        if H.data.shape[0] < 1:
-            raise DataError("bag has no instances")
-        if not np.all(np.isfinite(H.data)):
+        bags = features if isinstance(features, (list, tuple)) else [features]
+        bags = [np.asarray(X, dtype=np.float64) for X in bags]
+        for X in bags:
+            if X.ndim != 2 or X.shape[1] != cfg.d:
+                raise DataError(f"bag features must be (M, {cfg.d}), got {X.shape}")
+            if X.shape[0] < 1:
+                raise DataError("bag has no instances")
+        packed = bags[0] if len(bags) == 1 else np.concatenate(bags)
+        if not np.all(np.isfinite(packed)):
             raise DataError("bag features contain non-finite values")
+        H = Tensor(packed)
+        seg = ad.Segments([X.shape[0] for X in bags])
 
         S = self.params["anchors"]
+        S_seg = None  # the first layer's anchors are shared by every bag
         assignments: list[Assignment] = []
         for l in range(cfg.layers):
-            A = cosine_alignment(H, S)
+            A = cosine_alignment(H, S, S_seg)
             A_hat = ste_assign(A) if assign_mode == "hard" else _soft_assign(A)
-            S_agg, counts = aggregate_anchors(H, A_hat, S)
-            assignments.append(Assignment(
-                alignment=A.data.copy(),
-                indices=np.argmax(A.data, axis=1),
-                counts=counts.copy(),
-                aggregated=S_agg.data.copy(),
-            ))
+            S_agg, counts = aggregate_anchors(H, A_hat, S, seg)
+            # no tape array is written in place, so the record holds references
+            assignments.append(Assignment(alignment=A.data, indices=np.argmax(A.data, axis=1),
+                                          counts=counts, aggregated=S_agg.data))
             if not cfg.ablate_route:
                 H = route_update(H, A_hat, S_agg,
                                  self.params[f"route{l}.w1"], self.params[f"route{l}.b1"],
-                                 self.params[f"route{l}.w2"], self.params[f"route{l}.b2"])
+                                 self.params[f"route{l}.w2"], self.params[f"route{l}.b2"], seg)
             if cfg.ablate_reducer or not self._reduce_at(l):
                 S = S_agg
             else:
                 S = cluster_reduce(S_agg,
                                    self.params[f"reduce{l}.w1"], self.params[f"reduce{l}.b1"],
-                                   self.params[f"reduce{l}.w2"], self.params[f"reduce{l}.b2"])
+                                   self.params[f"reduce{l}.w2"], self.params[f"reduce{l}.b2"],
+                                   seg.count)
+            S_seg = seg
 
         if cfg.pooling == "gated_attention":
             pooled, _ = gated_attention_pool(
-                H, self.params["attn.V"], self.params["attn.U"], self.params["attn.w"])
+                H, self.params["attn.V"], self.params["attn.U"], self.params["attn.w"], seg)
         else:  # anchor_mean
-            pooled = ad.reshape(ad.mean(S, axis=0), (1, cfg.d))
+            pooled = ad.mean(ad.reshape(S, (seg.count, S.data.shape[0] // seg.count, cfg.d)),
+                             axis=1)
 
         out = ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
         return out, assignments

@@ -10,6 +10,8 @@ some MIL training setups use; the substitution is noted in every report.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -60,6 +62,10 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_int_fields(self)
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
+                or not math.isfinite(self.lr) or self.lr <= 0):
+            raise ConfigError(
+                f"lr must be a positive finite number, got {type(self.lr).__name__} {self.lr!r}")
         if self.grad_accum < 1:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
         if self.epochs < 1 or self.early_stop_patience < 1:
@@ -153,34 +159,65 @@ def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> Non
                 f"but the task has {n_classes} classes")
 
 
-def _bag_loss(model: MicoModel, bag: FeatureBag, assign_mode: str = "hard") -> Tensor:
-    out, _ = model.forward(bag.features, assign_mode=assign_mode)
+def _pack_loss(model: MicoModel, bags: list[FeatureBag], assign_mode: str = "hard") -> Tensor:
+    """The summed task loss of a pack of bags, from one packed forward."""
+    out, _ = model.forward([b.features for b in bags], assign_mode=assign_mode)
     cfg = model.config
-    if cfg.task == "survival":
-        return survival_nll(out, bag.label, cfg.survival_bins)
-    return cross_entropy(out, bag.label, cfg.subtype_classes)
+    total = None
+    for i, bag in enumerate(bags):
+        # a one-hot row selector picks bag i's output row exactly
+        row = out if len(bags) == 1 else ad.matmul(Tensor(np.eye(len(bags))[i:i + 1]), out)
+        if cfg.task == "survival":
+            loss = survival_nll(row, bag.label, cfg.survival_bins)
+        else:
+            loss = cross_entropy(row, bag.label, cfg.subtype_classes)
+        total = loss if total is None else ad.add(total, loss)
+    return total
+
+
+def _bag_loss(model: MicoModel, bag: FeatureBag, assign_mode: str = "hard") -> Tensor:
+    return _pack_loss(model, [bag], assign_mode)
+
+
+# Evaluation scores whole bags, in split order, in packs of at most this many
+# feature values (sum of M * d); a larger bag, such as a slide-size one
+# (1024 x 512), is a pack of one. About 14 acceptance-size bags fit. Larger
+# packs were no faster there and raised peak memory, since every fresh
+# multi-MiB temporary is paid for in page faults.
+PACK_ELEMENTS = 1 << 14
+
+
+def _packs(bags: list[FeatureBag]):
+    pack, size = [], 0
+    for bag in bags:
+        if pack and size + bag.features.size > PACK_ELEMENTS:
+            yield pack
+            pack, size = [], 0
+        pack.append(bag)
+        size += bag.features.size
+    if pack:
+        yield pack
+
+
+def _outputs(model: MicoModel, bags: list[FeatureBag]) -> np.ndarray:
+    """The (len(bags), C) model outputs, one forward per pack, with no tape."""
+    with ad.no_grad():
+        outs = [model.forward([b.features for b in pack])[0].data for pack in _packs(bags)]
+    return np.concatenate(outs) if outs else np.zeros((0, model.config.head_size))
 
 
 def evaluate_model(model: MicoModel, bags: list[FeatureBag]) -> dict:
     """Deterministic metrics over a bag list; parameters are not mutated."""
     cfg = model.config
     _check_task_labels(bags, cfg.task, cfg.subtype_classes)
+    out = _outputs(model, bags)
     if cfg.task == "survival":
-        risks = []
-        for bag in bags:
-            out, _ = model.forward(bag.features)
-            risks.append(risk_score(out.data))
         try:
-            return {"c_index": c_index(risks, [b.label for b in bags])}
+            return {"c_index": c_index([risk_score(z) for z in out], [b.label for b in bags])}
         except UndefinedMetricError:
             return {"c_index": 0.5}
-    scores = []
-    for bag in bags:
-        out, _ = model.forward(bag.features)
-        z = out.data.reshape(-1)
-        e = np.exp(z - z.max())
-        scores.append(e / e.sum())
-    cm = classification_metrics(np.array(scores), [b.label for b in bags])
+    e = np.exp(out - out.max(axis=1, keepdims=True))
+    cm = classification_metrics(e / e.sum(axis=1, keepdims=True), [b.label for b in bags])
     return {"acc": cm.acc, "f1": cm.macro_f1,
             "auc": 0.5 if cm.auc is None else cm.auc}
 
@@ -236,23 +273,26 @@ def train_fold(config: TrainConfig, fold_index: int,
         losses = []
         for j in order:
             bag = train_bags[int(j)]
-            try:
-                loss = _bag_loss(model, bag)
-                if not np.isfinite(loss.data):
-                    raise NumericalError("NaN/Inf loss")
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"fold {fold_index}: {exc} on bag {bag.bag_id!r} "
-                    f"at epoch {epoch}") from exc
-            losses.append(float(loss.data))
-            # per-bag loss is pre-scaled so one accumulated step matches an
-            # averaged batch of grad_accum bags
-            ad.scale(loss, 1.0 / config.grad_accum).backward()
-            pending += 1
-            if pending % config.grad_accum == 0:
-                opt.step()
-                opt.zero_grad()
-                pending = 0
+            # a diverging run is reported by the checks below, as one error;
+            # NumPy's overflow warnings on the way there would only be noise
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    loss = _bag_loss(model, bag)
+                    if not np.isfinite(loss.data):
+                        raise NumericalError("NaN/Inf loss")
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"fold {fold_index}: {exc} on bag {bag.bag_id!r} "
+                        f"at epoch {epoch}") from exc
+                losses.append(float(loss.data))
+                # per-bag loss is pre-scaled so one accumulated step matches an
+                # averaged batch of grad_accum bags
+                ad.scale(loss, 1.0 / config.grad_accum).backward()
+                pending += 1
+                if pending % config.grad_accum == 0:
+                    opt.step()
+                    opt.zero_grad()
+                    pending = 0
         loss_curve.append(float(np.mean(losses)))
 
         if val_metric_fn is not None:
@@ -431,7 +471,8 @@ def comparison_table(reports: dict[str, RunReport], task: str) -> str:
 def export_assignments(ckpt_path: str, bag: FeatureBag) -> str:
     """Per-instance anchor assignment at every layer, as a text table."""
     _, model = _model_from_checkpoint(ckpt_path, [bag])
-    _, assignments = model.forward(bag.features)
+    with ad.no_grad():
+        _, assignments = model.forward(bag.features)
 
     n_layers = len(assignments)
     lines = ["# instance x y " + " ".join(f"anchor_l{l}" for l in range(n_layers))]
@@ -469,9 +510,13 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
                          anchors: int = 4, layers: int = 2,
-                         seed: int = 0) -> dict[str, float]:
-    """Compare tape gradients of the full per-bag loss against central
-    finite differences for every parameter group.
+                         seed: int = 0, pack: int = 1) -> dict[str, float]:
+    """Compare tape gradients of the full loss against central finite
+    differences for every parameter group.
+
+    With ``pack`` > 1 the loss is the summed loss of a pack of that many bags
+    (m_instances, then half as many for each next bag, at least 1), so the
+    check runs through the segment ops.
 
     Runs with the smooth (row-softmax) relaxation of the hard assignment:
     the straight-through surrogate is by construction not the derivative of
@@ -482,19 +527,18 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
     cfg = MicoConfig(d=d, anchors=anchors, layers=layers, task=task,
                      survival_bins=4, subtype_classes=2)
     model = MicoModel(cfg, rng=rng)
-    features = rng.standard_normal((m_instances, d))
-    if task == "survival":
-        label = SurvivalLabel(time=1.0, event=True, bin=1)
-        bag = FeatureBag(bag_id="gradcheck", features=features, label=label)
-    else:
-        bag = FeatureBag(bag_id="gradcheck", features=features,
-                         label=SubtypeLabel(class_index=1))
+    bags = []
+    for i in range(pack):
+        features = rng.standard_normal((max(1, m_instances >> i), d))
+        label = (SurvivalLabel(time=1.0, event=i % 2 == 0, bin=(1 + i) % 4)
+                 if task == "survival" else SubtypeLabel(class_index=(1 + i) % 2))
+        bags.append(FeatureBag(bag_id=f"gradcheck{i}", features=features, label=label))
 
     def loss_value() -> float:
-        return float(_bag_loss(model, bag, assign_mode="soft").data)
+        return float(_pack_loss(model, bags, assign_mode="soft").data)
 
     zero_grad(model.params.values())
-    _bag_loss(model, bag, assign_mode="soft").backward()
+    _pack_loss(model, bags, assign_mode="soft").backward()
 
     # no ablation and gated-attention pooling: every parameter has a gradient
     errors = {}

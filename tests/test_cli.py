@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +142,32 @@ class TestExitCodes:
                          "--lr", "1e300"] + TRAIN_FLAGS)
         assert code == EXIT_NUMERICAL
         assert "fold 0" in capsys.readouterr().err
+
+    def test_diverging_run_prints_only_the_error(self, tmp_path):
+        # NumPy's overflow warnings go to stderr outside pytest's capture, so
+        # the command runs in a process of its own
+        data_dir = make_dataset(tmp_path)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mico.cli", "train", "--data", data_dir,
+             "--out", str(tmp_path / "out"), "--lr", "1e300"] + TRAIN_FLAGS,
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("numerical error: fold 0")
+
+    @pytest.mark.parametrize("value", ["0.1", True, "nan", "inf", 0, -1e-3, None])
+    def test_bad_learning_rate_returns_config_error(self, tmp_path, capsys, value):
+        data_dir = make_dataset(tmp_path)
+        cfg_path = tmp_path / "train.json"
+        # JSON has no NaN or infinity; Python's json module writes and reads them
+        lr = float(value) if value in ("nan", "inf") else value
+        cfg_path.write_text(json.dumps({"lr": lr}))
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path)] + TRAIN_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lr" in err
 
     def test_batch_size_in_config_returns_config_error(self, tmp_path, capsys):
         # batch size is fixed at 1 and is no config field, so even 1 is unknown

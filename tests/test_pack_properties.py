@@ -1,0 +1,66 @@
+"""Property tests of packing over random pack shapes (needs ``hypothesis``).
+
+Over random bag counts, bag sizes (M = 1 included), feature widths, anchor
+counts and layer counts: a pack's logits equal its bags' per-bag logits,
+every layer's assignment counts add up to each bag's size, and permuting the
+bags of a pack permutes its output rows.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mico.model import MicoConfig, MicoModel  # noqa: E402
+
+# derandomized: the suite draws the same examples on every run
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def packs(draw):
+    layers = draw(st.integers(1, 3))
+    cfg = MicoConfig(
+        d=draw(st.integers(1, 6)), anchors=(2 ** layers) * draw(st.integers(1, 3)),
+        layers=layers, task=draw(st.sampled_from(["survival", "subtype"])),
+        pooling=draw(st.sampled_from(["gated_attention", "anchor_mean"])),
+        ablate_route=draw(st.booleans()), ablate_reducer=draw(st.booleans()))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = MicoModel(cfg, rng=rng)
+    return model, [rng.standard_normal((m, cfg.d)) for m in sizes]
+
+
+def close(a, b, rtol=1e-12):
+    return float(np.max(np.abs(a - b))) <= rtol * max(1.0, float(np.max(np.abs(b))))
+
+
+@PROPERTY_SETTINGS
+@given(packs())
+def test_packed_logits_equal_per_bag_logits(case):
+    model, bags = case
+    packed, _ = model.forward(bags)
+    single = np.concatenate([model.forward(X)[0].data for X in bags])
+    assert close(packed.data, single)
+
+
+@PROPERTY_SETTINGS
+@given(packs())
+def test_counts_are_conserved_per_bag(case):
+    model, bags = case
+    _, records = model.forward(bags)
+    sizes = [X.shape[0] for X in bags]
+    for rec in records:
+        assert np.array_equal(rec.counts.reshape(len(bags), -1).sum(axis=1), sizes)
+
+
+@PROPERTY_SETTINGS
+@given(packs(), st.randoms(use_true_random=False))
+def test_permuting_bags_permutes_output_rows(case, random):
+    model, bags = case
+    order = list(range(len(bags)))
+    random.shuffle(order)
+    out, _ = model.forward(bags)
+    permuted, _ = model.forward([bags[i] for i in order])
+    assert close(permuted.data, out.data[order])

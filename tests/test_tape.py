@@ -54,6 +54,19 @@ def _aggregate(rng):
     return model_mod.aggregate_anchors(H, W, S)[0], [H, W, S]
 
 
+def _cosine_packed(rng):
+    # three bags of 2, 1 and 3 rows, each aligned against its own 4 anchors
+    H, S = leaf(rng, 6, 3), leaf(rng, 12, 3)
+    return model_mod.cosine_alignment(H, S, ad.Segments([2, 1, 3])), [H, S]
+
+
+def _aggregate_packed(rng):
+    H, S = leaf(rng, 5, 3), leaf(rng, 4, 3)
+    # shared anchors, two bags; anchor 3 stays empty in both
+    W = Tensor(np.eye(4)[[0, 1, 2, 0, 1]], requires_grad=True)
+    return model_mod.aggregate_anchors(H, W, S, ad.Segments([3, 2]))[0], [H, W, S]
+
+
 def _soft(rng):
     A = leaf(rng, 5, 4)
     return model_mod._soft_assign(A), [A]
@@ -74,6 +87,21 @@ def _matmul(rng):
     return ad.matmul(a, b), [a, b]
 
 
+def _matmul_packed(rng):
+    a, b = leaf(rng, 5, 4), leaf(rng, 8, 2)
+    return ad.matmul(a, b, ad.Segments([3, 2])), [a, b]
+
+
+def _weighted_sum(rng):
+    w, x = leaf(rng, 5), leaf(rng, 5, 3)
+    return ad.weighted_sum(w, x, ad.Segments([1, 4])), [w, x]
+
+
+def _softmax(rng):
+    a = leaf(rng, 6)
+    return ad.softmax(a, ad.Segments([2, 3, 1])), [a]
+
+
 def _add_bias(rng):
     m, b = leaf(rng, 3, 4), leaf(rng, 4)
     return ad.add_bias(m, b), [m, b]
@@ -82,6 +110,11 @@ def _add_bias(rng):
 def _transpose(rng):
     a = leaf(rng, 3, 4)
     return ad.transpose(a), [a]
+
+
+def _transpose_blocks(rng):
+    a = leaf(rng, 6, 4)
+    return ad.transpose(a, 3), [a]
 
 
 def _reshape(rng):
@@ -94,19 +127,26 @@ def _sum(rng):
     return ad.sum_(a, axis=0), [a]
 
 
-# one case per function whose source calls _make(; each builds that op's
-# output from fresh leaves and returns it with the leaves
+# at least one case per function whose source calls _make(; each builds that
+# op's output from fresh leaves and returns it with the leaves. The
+# ".packed" cases run the segment-aware form over several bags.
 CASES = {
     "autodiff._binary": _binary,
     "autodiff._unary": _unary,
     "autodiff.matmul": _matmul,
+    "autodiff.matmul.packed": _matmul_packed,
+    "autodiff.weighted_sum": _weighted_sum,
+    "autodiff.softmax": _softmax,
     "autodiff.add_bias": _add_bias,
     "autodiff.transpose": _transpose,
+    "autodiff.transpose.packed": _transpose_blocks,
     "autodiff.reshape": _reshape,
     "autodiff.sum_": _sum,
     "model.cosine_alignment": _cosine,
+    "model.cosine_alignment.packed": _cosine_packed,
     "model.ste_assign": _ste,
     "model.aggregate_anchors": _aggregate,
+    "model.aggregate_anchors.packed": _aggregate_packed,
     "model._soft_assign": _soft,
 }
 

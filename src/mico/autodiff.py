@@ -15,20 +15,20 @@ gradients, and a tape is differentiated once.
 Under ``no_grad()`` ops record nothing: outputs carry no inputs and no rule,
 so scoring builds no tape at all.
 
-Broadcasting is deliberately limited to scalar-with-tensor; the only other
-shape mix is ``add_bias`` (row vector added to every matrix row), which has
-its own explicit backward rule.
+The generic ops are the few the model composes outside its fused layers:
+``linear`` for the head, ``scale`` for gradient accumulation, and ``reshape``,
+``sum_`` and ``mean`` for anchor-mean pooling. Broadcasting is limited to
+scalar-with-tensor. Each layer of the model (``mico.model``) and each loss
+(``mico.losses``) is one node with a hand-written backward rule.
 
 A pack is B bags stacked into one (sum of M, d) matrix with row offsets, the
-varlen layout of FlashAttention-2; ``Segments`` describes it, and the
-segment-aware ops (``matmul`` with ``seg``, ``softmax`` with ``seg``,
-``weighted_sum``, ``transpose`` with ``blocks``) keep every bag apart.
+varlen layout of FlashAttention-2; ``Segments`` describes it, and its methods
+keep every bag apart inside the fused nodes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import weakref
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
@@ -36,16 +36,11 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .errors import (
-    DomainError,
     GraphError,
     NumericalError,
     OptimizerError,
     ShapeError,
 )
-
-# tanh approximation constants for gelu
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_A = 0.044715
 
 Scalar = Union[int, float]
 
@@ -199,211 +194,44 @@ def _make(data, children, op, bw) -> Tensor:
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
-
-
-def _binary(a, b, op: str, fwd, bwd_a, bwd_b) -> Tensor:
-    """Elementwise binary op; one operand may be a scalar (python or 0-d)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_scalar, b_scalar = a.data.ndim == 0, b.data.ndim == 0
-    if not (a_scalar or b_scalar):
-        _check_same_shape(a, b, op)
-    data = fwd(a.data, b.data)
-
-    def bw(g):
-        ga = bwd_a(g, a.data, b.data)
-        gb = bwd_b(g, a.data, b.data)
-        if a_scalar and not b_scalar:
-            ga = np.sum(ga)
-        if b_scalar and not a_scalar:
-            gb = np.sum(gb)
-        _accum(a, ga)
-        _accum(b, gb)
-
-    return _make(data, (a, b), op, bw)
-
-
 # ---------------------------------------------------------------------------
-# elementwise ops
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, "add", lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
+# generic ops: the head, gradient-accumulation scaling and anchor-mean pooling
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+    """Elementwise product; one operand may be a scalar (python or 0-d)."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    a_scalar, b_scalar = a.data.ndim == 0, b.data.ndim == 0
+    if not (a_scalar or b_scalar) and a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: operand shapes {a.data.shape} and {b.data.shape} differ")
 
+    def bw(g):
+        ga, gb = g * b.data, g * a.data
+        _accum(a, np.sum(ga) if a_scalar and not b_scalar else ga)
+        _accum(b, np.sum(gb) if b_scalar and not a_scalar else gb)
 
-def div(a, b) -> Tensor:
-    b_arr = _as_tensor(b).data
-    if np.any(b_arr == 0.0):
-        raise DomainError("div: division by zero")
-    return _binary(a, b, "div", lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    return _make(a.data * b.data, (a, b), "mul", bw)
 
 
 def scale(a, c: Scalar) -> Tensor:
     return mul(a, float(c))
 
 
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
-
-
-def _unary(a, op: str, fwd, deriv) -> Tensor:
-    a = _as_tensor(a)
-    data = np.asarray(fwd(a.data), dtype=np.float64)
-    return _make(data, (a,), op, lambda g: _accum(a, g * deriv(a.data, data)))
-
-
-def exp(a) -> Tensor:
-    return _unary(a, "exp", np.exp, lambda x, o: o)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: operand has non-positive entries")
-    return _unary(a, "log", np.log, lambda x, o: 1.0 / x)
-
-
-def gelu(a) -> Tensor:
-    """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    # products, not powers (``x ** 3`` takes the slow general pow path), and
-    # one temporary updated in place; scaling by 0.5 last is exact
-    def fwd(x):
-        t = x * x
-        t *= x
-        t *= _GELU_A
-        t += x
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        t += 1.0
-        t *= x
-        t *= 0.5
-        return t
-
-    def deriv(x, o):
-        x2 = x * x
-        t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-
-    return _unary(a, "gelu", fwd, deriv)
-
-
-def tanh(a) -> Tensor:
-    return _unary(a, "tanh", np.tanh, lambda x, o: 1.0 - o ** 2)
-
-
-def sigmoid(a) -> Tensor:
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
-    # masked indexing: with e = exp(-|x|) the numerator is max(e, x >= 0)
-    def fwd(x):
-        e = np.abs(x)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        out = np.maximum(e, (x >= 0).astype(np.float64))
-        e += 1.0
-        out /= e
-        return out
-
-    return _unary(a, "sigmoid", fwd, lambda x, o: o * (1.0 - o))
-
-
-def log_sigmoid(a) -> Tensor:
-    """log(sigmoid(x)) = -softplus(-x), computed without overflow."""
-    return _unary(a, "log_sigmoid",
-                  lambda x: -np.logaddexp(0.0, -x),
-                  lambda x, o: 1.0 / (1.0 + np.exp(x)))
-
-
-# ---------------------------------------------------------------------------
-# structural ops
-
-def matmul(a, b, seg: Segments | None = None) -> Tensor:
-    """a @ b; with ``seg``, the rows of bag i in ``a`` times the i-th of the
-    ``seg.count`` stacked row blocks of ``b``."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: operands must be rank-2, got {a.data.shape} and {b.data.shape}")
-    blocks = 1 if seg is None else seg.count
-    if a.data.shape[1] * blocks != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}"
-                         + (f" in {blocks} blocks" if blocks > 1 else ""))
-    if seg is None:
-        data = a.data @ b.data
-
-        def bw(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-    else:
-        data = seg.matmul(a.data, b.data)
-
-        def bw(g):
-            _accum(a, seg.matmul(g, b.data, trans_y=True))
-            _accum(b, seg.outer(a.data, g))
-
-    return _make(data, (a, b), "matmul", bw)
-
-
-def weighted_sum(w, x, seg: Segments | None = None) -> Tensor:
-    """Per-bag weighted row sums: (N,) weights and (N, d) rows give (B, d),
-    row b summing ``w[i] * x[i]`` over the rows i of bag b."""
-    w, x = _as_tensor(w), _as_tensor(x)
-    if w.data.ndim != 1 or x.data.ndim != 2 or w.data.shape[0] != x.data.shape[0]:
-        raise ShapeError(f"weighted_sum: shapes {w.data.shape} and {x.data.shape} incompatible")
-    seg = seg or Segments([x.data.shape[0]])
-    data = seg.sum(w.data[:, None] * x.data)
+def linear(x, w, b) -> Tensor:
+    """x @ w + b: (n, p) rows, a (p, q) weight and a length-q bias give (n, q)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
+        raise ShapeError(
+            f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} incompatible")
+    out = x.data @ w.data
+    out += b.data
 
     def bw(g):
-        G = seg.spread(g)
-        _accum(w, (x.data * G).sum(axis=1))
-        _accum(x, w.data[:, None] * G)
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
 
-    return _make(data, (w, x), "weighted_sum", bw)
-
-
-def add_bias(mat, bias) -> Tensor:
-    """Add a length-n row vector to every row of an (m, n) matrix."""
-    mat, bias = _as_tensor(mat), _as_tensor(bias)
-    if mat.data.ndim != 2 or bias.data.ndim != 1 or mat.data.shape[1] != bias.data.shape[0]:
-        raise ShapeError(f"add_bias: shapes {mat.data.shape} and {bias.data.shape} incompatible")
-    data = mat.data + bias.data[None, :]
-
-    def bw(g):
-        _accum(mat, g)
-        _accum(bias, g.sum(axis=0))
-
-    return _make(data, (mat, bias), "add_bias", bw)
-
-
-def _block_transpose(x: np.ndarray, blocks: int) -> np.ndarray:
-    if blocks == 1:
-        return x.T
-    r, c = x.shape[0] // blocks, x.shape[1]
-    return x.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
-
-
-def transpose(a, blocks: int = 1) -> Tensor:
-    """Transpose each of ``blocks`` stacked row blocks: (blocks*R, C) gives
-    (blocks*C, R)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: rank-2 tensor required, got shape {a.data.shape}")
-    if a.data.shape[0] % blocks:
-        raise ShapeError(f"transpose: {a.data.shape[0]} rows are not {blocks} blocks")
-    return _make(_block_transpose(a.data, blocks), (a,), "transpose",
-                 lambda g: _accum(a, _block_transpose(g, blocks)))
+    return _make(out, (x, w, b), "linear", bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -437,32 +265,6 @@ def mean(a, axis=None) -> Tensor:
     _check_axis(a, axis)
     n = a.data.size if axis is None else a.data.shape[axis]
     return scale(sum_(a, axis=axis), 1.0 / n)
-
-
-def softmax(a, seg: Segments | None = None) -> Tensor:
-    """Softmax over a rank-1 tensor, shift-stabilized; with ``seg``, over
-    each bag's entries separately."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"softmax: rank-1 tensor required, got shape {a.data.shape}")
-    seg = seg or Segments([a.data.shape[0]])
-    e = np.exp(a.data - seg.spread(seg.max(a.data)))
-    P = e / seg.spread(seg.sum(e))
-
-    def bw(g):
-        gP = g * P
-        _accum(a, gP - P * seg.spread(seg.sum(gP)))
-
-    return _make(P, (a,), "softmax", bw)
-
-
-def logsumexp(a) -> Tensor:
-    """log sum exp over a rank-1 tensor, shift-stabilized."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"logsumexp: rank-1 tensor required, got shape {a.data.shape}")
-    m = float(a.data.max())
-    return add(log(sum_(exp(sub(a, m)))), m)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +335,17 @@ class Adam:
                 raise OptimizerError(f"adam step: parameter {name!r} has no gradient")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        # in place, with the operations and their order of the textbook
+        # m = b1 m + (1 - b1) g, so the results are the same bits
         for name, p in self.params.items():
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1 ** self.t)
-            v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         zero_grad(self.params.values())

@@ -16,10 +16,6 @@ class ShapeError(ConfigError):
     """Tensor shapes incompatible with the requested operation."""
 
 
-class DomainError(ConfigError):
-    """Operand outside the mathematical domain of an operation (log <= 0 etc.)."""
-
-
 class GraphError(ConfigError):
     """Misuse of the autodiff tape (non-scalar loss, repeated backward, ...)."""
 

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accum, _make
 from .errors import ConfigError, DataError
 
 
@@ -32,39 +31,46 @@ class SubtypeLabel:
             raise DataError(f"class index must be non-negative, got {self.class_index}")
 
 
-def _flat_logits(logits: Tensor, n: int, what: str) -> Tensor:
-    if logits.data.size != n:
-        raise ConfigError(f"{what}: expected {n} logits, got shape {logits.data.shape}")
-    return ad.reshape(logits, (n,)) if logits.data.shape != (n,) else logits
+def _check_output(out: Tensor, labels: list, n: int, what: str) -> None:
+    if out.data.shape != (len(labels), n):
+        raise ConfigError(
+            f"{what}: expected {len(labels)} rows of {n} outputs, got shape {out.data.shape}")
 
 
-def survival_nll(hazard_logits: Tensor, label: SurvivalLabel, n_bins: int) -> Tensor:
-    """Discrete-time hazard NLL.
+def survival_nll(hazard_logits: Tensor, labels: list[SurvivalLabel],
+                 n_bins: int) -> tuple[Tensor, np.ndarray]:
+    """Discrete-time hazard NLL of B bags, from their (B, n_bins) logits.
 
     Hazards p_b = sigmoid(logit_b), survival S_b = prod_{j<=b} (1 - p_j).
     Observed event in bin b contributes -log S_{b-1} - log p_b; a censored
-    sample in bin b contributes -log S_b.
+    sample in bin b contributes -log S_b. Returns the summed loss, one tape
+    node, and the (B,) per-bag losses.
     """
     if n_bins < 2:
         raise ConfigError(f"survival_nll: need at least 2 bins, got {n_bins}")
-    b = label.bin
-    if not 0 <= b < n_bins:
-        raise ConfigError(f"survival_nll: bin {b} out of range [0, {n_bins})")
-    x = _flat_logits(hazard_logits, n_bins, "survival_nll")
+    _check_output(hazard_logits, labels, n_bins, "survival_nll")
+    surv_mask = np.zeros((len(labels), n_bins))
+    event_mask = np.zeros((len(labels), n_bins))
+    for i, label in enumerate(labels):
+        b = label.bin
+        if not 0 <= b < n_bins:
+            raise ConfigError(f"survival_nll: bin {b} out of range [0, {n_bins})")
+        if label.event:
+            surv_mask[i, :b] = 1.0
+            event_mask[i, b] = 1.0
+        else:
+            surv_mask[i, :b + 1] = 1.0
+    x = hazard_logits.data
+    log_p = -np.logaddexp(0.0, -x)    # log hazard
+    log_q = -np.logaddexp(0.0, x)     # log (1 - hazard)
+    per_bag = -((surv_mask * log_q).sum(axis=1) + (event_mask * log_p).sum(axis=1))
 
-    log_p = ad.log_sigmoid(x)            # log hazard
-    log_q = ad.log_sigmoid(ad.neg(x))    # log (1 - hazard)
+    def bw(g):
+        # d log p / dx = 1 - p and d log q / dx = -p
+        _accum(hazard_logits,
+               g * (surv_mask / (1.0 + np.exp(-x)) - event_mask / (1.0 + np.exp(x))))
 
-    surv_mask = np.zeros(n_bins)
-    event_mask = np.zeros(n_bins)
-    if label.event:
-        surv_mask[:b] = 1.0
-        event_mask[b] = 1.0
-    else:
-        surv_mask[:b + 1] = 1.0
-    ll = ad.add(ad.sum_(ad.mul(Tensor(surv_mask), log_q)),
-                ad.sum_(ad.mul(Tensor(event_mask), log_p)))
-    return ad.neg(ll)
+    return _make(per_bag.sum(), (hazard_logits,), "survival_nll", bw), per_bag
 
 
 def survival_curve(hazard_logits: np.ndarray) -> np.ndarray:
@@ -78,17 +84,30 @@ def risk_score(hazard_logits: np.ndarray) -> float:
     return float(1.0 - survival_curve(hazard_logits)[-1])
 
 
-def cross_entropy(logits: Tensor, label: SubtypeLabel, n_classes: int) -> Tensor:
-    """-log softmax(logits)[class]."""
+def cross_entropy(logits: Tensor, labels: list[SubtypeLabel],
+                  n_classes: int) -> tuple[Tensor, np.ndarray]:
+    """-log softmax(logits)[class] of B bags, from their (B, n_classes)
+    logits. Returns the summed loss, one tape node, and the (B,) per-bag
+    losses."""
     if n_classes < 2:
         raise ConfigError(f"cross_entropy: need at least 2 classes, got {n_classes}")
-    c = label.class_index
-    if c >= n_classes:
-        raise ConfigError(f"cross_entropy: class {c} out of range [0, {n_classes})")
-    z = _flat_logits(logits, n_classes, "cross_entropy")
-    onehot = np.zeros(n_classes)
-    onehot[c] = 1.0
-    return ad.sub(ad.logsumexp(z), ad.sum_(ad.mul(Tensor(onehot), z)))
+    _check_output(logits, labels, n_classes, "cross_entropy")
+    onehot = np.zeros((len(labels), n_classes))
+    for i, label in enumerate(labels):
+        c = label.class_index
+        if c >= n_classes:
+            raise ConfigError(f"cross_entropy: class {c} out of range [0, {n_classes})")
+        onehot[i, c] = 1.0
+    z = logits.data
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    per_bag = (np.log(s) + m - (onehot * z).sum(axis=1, keepdims=True)).reshape(-1)
+
+    def bw(g):
+        _accum(logits, g * (e / s - onehot))
+
+    return _make(per_bag.sum(), (logits,), "cross_entropy", bw), per_bag
 
 
 def quantile_bin_edges(times, n_bins: int) -> np.ndarray:

@@ -10,6 +10,7 @@ one bag-level vector for the task head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -20,6 +21,10 @@ from .autodiff import Tensor, _accum, _make
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 
 NORM_CLAMP = 1e-12
+
+# tanh approximation constants for gelu
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 # diagnostic counter: zero-norm rows clamped inside cosine_alignment
 _zero_norm_clamps = 0
@@ -211,15 +216,80 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
+    # products, not powers (``x ** 3`` takes the slow general pow path), and
+    # one temporary updated in place; scaling by 0.5 last is exact
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
+
+
+def _gelu_slope(x: np.ndarray) -> np.ndarray:
+    """d gelu / dx of the tanh approximation."""
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
+    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
+    # masked indexing: with e = exp(-|x|) the numerator is max(e, x >= 0)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, (x >= 0).astype(np.float64))
+    e += 1.0
+    out /= e
+    return out
+
+
+# The fused layers below are one tape node each. A node keeps its inputs and
+# the pre-activations of its MLP or gates; backward recomputes the elementwise
+# activations from them and never repeats a matmul.
+
 def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                  seg: ad.Segments | None = None) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    ctx = ad.matmul(A_hat, S_agg, seg)
-    z = ad.gelu(ad.add_bias(ad.matmul(ad.add(H, ctx), w1), b1))
-    z = ad.add_bias(ad.matmul(z, w2), b2)
-    return ad.add(H, z)
+    seg = seg or ad.Segments([H.data.shape[0]])
+    X = H.data + seg.matmul(A_hat.data, S_agg.data)
+    P = X @ w1.data
+    P += b1.data
+    Y = _gelu(P) @ w2.data
+    Y += b2.data
+
+    def bw(g):
+        gP = g @ w2.data.T
+        gP *= _gelu_slope(P)
+        gX = gP @ w1.data.T
+        _accum(H, g + gX)
+        _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
+        _accum(S_agg, seg.outer(A_hat.data, gX))
+        _accum(w1, X.T @ gP)
+        _accum(b1, gP.sum(axis=0))
+        _accum(w2, _gelu(P).T @ g)
+        _accum(b2, g.sum(axis=0))
+
+    return _make(H.data + Y, (H, A_hat, S_agg, w1, b1, w2, b2), "route_update", bw)
+
+
+def _block_transpose(x: np.ndarray, blocks: int) -> np.ndarray:
+    """Transpose each of ``blocks`` stacked row blocks: (blocks*R, C) gives
+    (blocks*C, R)."""
+    if blocks == 1:
+        return x.T
+    r, c = x.shape[0] // blocks, x.shape[1]
+    return x.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
 
 
 def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor,
@@ -235,19 +305,54 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     K = S_agg.data.shape[0] // bags
     if K < 2 or K % 2 != 0:
         raise ConfigError(f"cluster_reduce: anchor count {K} must be even and >= 2")
-    z = ad.gelu(ad.add_bias(ad.matmul(ad.transpose(S_agg, bags), r1), rb1))
-    z = ad.add_bias(ad.matmul(z, r2), rb2)
-    return ad.transpose(z, bags)
+    T = _block_transpose(S_agg.data, bags)
+    P = T @ r1.data
+    P += rb1.data
+    Y = _gelu(P) @ r2.data
+    Y += rb2.data
+
+    def bw(g):
+        gY = _block_transpose(g, bags)
+        gP = gY @ r2.data.T
+        gP *= _gelu_slope(P)
+        _accum(S_agg, _block_transpose(gP @ r1.data.T, bags))
+        _accum(r1, _block_transpose(S_agg.data, bags).T @ gP)
+        _accum(rb1, gP.sum(axis=0))
+        _accum(r2, _gelu(P).T @ gY)
+        _accum(rb2, gY.sum(axis=0))
+
+    return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)
 
 
 def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
                          seg: ad.Segments | None = None) -> tuple[Tensor, np.ndarray]:
     """Gated attention over each bag's instances; returns the (B, d) pooled
     features and the attention weights (which sum to 1 within each bag)."""
-    gate = ad.mul(ad.tanh(ad.matmul(H, V)), ad.sigmoid(ad.matmul(H, U)))
-    scores = ad.reshape(ad.matmul(gate, w), (H.data.shape[0],))
-    attn = ad.softmax(scores, seg)
-    return ad.weighted_sum(attn, H, seg), attn.data
+    seg = seg or ad.Segments([H.data.shape[0]])
+    PV = H.data @ V.data
+    PU = H.data @ U.data
+    scores = ((np.tanh(PV) * _sigmoid(PU)) @ w.data).reshape(-1)
+    e = np.exp(scores - seg.spread(seg.max(scores)))
+    attn = e / seg.spread(seg.sum(e))
+
+    def bw(g):
+        G = seg.spread(g)
+        g_attn = attn * (H.data * G).sum(axis=1)
+        g_scores = g_attn - attn * seg.spread(seg.sum(g_attn))
+        a, b = np.tanh(PV), _sigmoid(PU)
+        gate = a * b
+        g_gate = g_scores[:, None] * w.data.T
+        gPV = g_gate * b
+        gPV *= 1.0 - a * a
+        gPU = g_gate * a
+        gPU *= b * (1.0 - b)
+        _accum(H, attn[:, None] * G + gPV @ V.data.T + gPU @ U.data.T)
+        _accum(V, H.data.T @ gPV)
+        _accum(U, H.data.T @ gPU)
+        _accum(w, gate.T @ g_scores[:, None])
+
+    pooled = _make(seg.sum(attn[:, None] * H.data), (H, V, U, w), "gated_attention_pool", bw)
+    return pooled, attn
 
 
 def _soft_assign(A: Tensor) -> Tensor:
@@ -323,7 +428,9 @@ class MicoModel:
         return {name: p for name, p in self.params.items() if not name.startswith(cut)}
 
     def _param(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        # a copy: Adam updates parameters in place, and the caller's array
+        # (such as the K-means centers) is not the model's
+        self.params[name] = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -393,7 +500,7 @@ class MicoModel:
             pooled = ad.mean(ad.reshape(S, (seg.count, S.data.shape[0] // seg.count, cfg.d)),
                              axis=1)
 
-        out = ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
+        out = ad.linear(pooled, self.params["head.w"], self.params["head.b"])
         return out, assignments
 
 

@@ -1,9 +1,10 @@
 """Training, evaluation, ablation and sweep harness.
 
 Protocol per fold: K-means anchor initialization on the training instances,
-epoch loop over shuffled bags at batch size 1, gradient accumulation, Adam
-step, per-epoch validation with early stopping, best-epoch restore, single
-test evaluation. The optimizer is Adam rather than the composite optimizer
+epoch loop over shuffled bags in grad-accum groups (each group one packed
+forward and backward of the summed per-bag losses), Adam step per group,
+per-epoch validation with early stopping, best-epoch restore, single test
+evaluation. The optimizer is Adam rather than the composite optimizer
 some MIL training setups use; the substitution is noted in every report.
 """
 
@@ -159,31 +160,48 @@ def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> Non
                 f"but the task has {n_classes} classes")
 
 
-def _pack_loss(model: MicoModel, bags: list[FeatureBag], assign_mode: str = "hard") -> Tensor:
-    """The summed task loss of a pack of bags, from one packed forward."""
+def _pack_loss(model: MicoModel, bags: list[FeatureBag],
+               assign_mode: str = "hard") -> tuple[Tensor, np.ndarray]:
+    """The summed task loss of a pack of bags, from one packed forward, and
+    the (B,) per-bag losses."""
     out, _ = model.forward([b.features for b in bags], assign_mode=assign_mode)
     cfg = model.config
-    total = None
-    for i, bag in enumerate(bags):
-        # a one-hot row selector picks bag i's output row exactly
-        row = out if len(bags) == 1 else ad.matmul(Tensor(np.eye(len(bags))[i:i + 1]), out)
-        if cfg.task == "survival":
-            loss = survival_nll(row, bag.label, cfg.survival_bins)
-        else:
-            loss = cross_entropy(row, bag.label, cfg.subtype_classes)
-        total = loss if total is None else ad.add(total, loss)
-    return total
+    labels = [b.label for b in bags]
+    if cfg.task == "survival":
+        return survival_nll(out, labels, cfg.survival_bins)
+    return cross_entropy(out, labels, cfg.subtype_classes)
 
 
-def _bag_loss(model: MicoModel, bag: FeatureBag, assign_mode: str = "hard") -> Tensor:
-    return _pack_loss(model, [bag], assign_mode)
+def _divergence(exc: NumericalError, model: MicoModel, pack: list[FeatureBag],
+                fold_index: int, epoch: int) -> NumericalError:
+    """The error for a pack whose loss is not finite. It names the pack's
+    first bag whose own loss is not finite (or cannot be computed), found by
+    scoring each bag alone, and the first trainable parameter holding a
+    non-finite value, if any. Runs only once a run has diverged."""
+    culprit = pack[0]
+    for bag in pack:
+        try:
+            with ad.no_grad():
+                finite = np.isfinite(_pack_loss(model, [bag])[0].data)
+        except NumericalError:
+            finite = False
+        if not finite:
+            culprit = bag
+            break
+    msg = f"fold {fold_index}: {exc} on bag {culprit.bag_id!r} at epoch {epoch}"
+    bad = [name for name, p in model.trainable_params().items()
+           if not np.all(np.isfinite(p.data))]
+    if bad:
+        msg += f"; parameter {bad[0]!r} holds a non-finite value"
+    return NumericalError(msg)
 
 
-# Evaluation scores whole bags, in split order, in packs of at most this many
-# feature values (sum of M * d); a larger bag, such as a slide-size one
-# (1024 x 512), is a pack of one. About 14 acceptance-size bags fit. Larger
-# packs were no faster there and raised peak memory, since every fresh
-# multi-MiB temporary is paid for in page faults.
+# Evaluation scores whole bags, in split order, and training runs each
+# grad-accum group, in packs of at most this many feature values (sum of
+# M * d); a larger bag, such as a slide-size one (1024 x 512), is a pack of
+# one. About 14 acceptance-size bags fit. Larger packs were no faster in
+# evaluation and raised peak memory, since every fresh multi-MiB temporary is
+# paid for in page faults.
 PACK_ELEMENTS = 1 << 14
 
 
@@ -271,28 +289,30 @@ def train_fold(config: TrainConfig, fold_index: int,
         epochs_run = epoch
         order = shuffle_rng.permutation(len(train_bags))
         losses = []
-        for j in order:
-            bag = train_bags[int(j)]
-            # a diverging run is reported by the checks below, as one error;
-            # NumPy's overflow warnings on the way there would only be noise
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                try:
-                    loss = _bag_loss(model, bag)
-                    if not np.isfinite(loss.data):
-                        raise NumericalError("NaN/Inf loss")
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"fold {fold_index}: {exc} on bag {bag.bag_id!r} "
-                        f"at epoch {epoch}") from exc
-                losses.append(float(loss.data))
-                # per-bag loss is pre-scaled so one accumulated step matches an
-                # averaged batch of grad_accum bags
-                ad.scale(loss, 1.0 / config.grad_accum).backward()
-                pending += 1
-                if pending % config.grad_accum == 0:
-                    opt.step()
-                    opt.zero_grad()
-                    pending = 0
+        start = 0
+        while start < len(order):
+            # a grad-accum group; the first may finish the last epoch's group
+            group = [train_bags[int(j)] for j in order[start:start + config.grad_accum - pending]]
+            start += len(group)
+            for pack in _packs(group):
+                # a diverging run is reported by the checks below, as one
+                # error; NumPy's overflow warnings on the way would be noise
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    try:
+                        loss, per_bag = _pack_loss(model, pack)
+                        if not np.isfinite(loss.data):
+                            raise NumericalError("NaN/Inf loss")
+                    except NumericalError as exc:
+                        raise _divergence(exc, model, pack, fold_index, epoch) from exc
+                    losses.extend(per_bag.tolist())
+                    # the summed loss is pre-scaled so one accumulated step
+                    # matches an averaged batch of grad_accum bags
+                    ad.scale(loss, 1.0 / config.grad_accum).backward()
+            pending += len(group)
+            if pending == config.grad_accum:
+                opt.step()
+                opt.zero_grad()
+                pending = 0
         loss_curve.append(float(np.mean(losses)))
 
         if val_metric_fn is not None:
@@ -535,10 +555,10 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
         bags.append(FeatureBag(bag_id=f"gradcheck{i}", features=features, label=label))
 
     def loss_value() -> float:
-        return float(_pack_loss(model, bags, assign_mode="soft").data)
+        return float(_pack_loss(model, bags, assign_mode="soft")[0].data)
 
     zero_grad(model.params.values())
-    _pack_loss(model, bags, assign_mode="soft").backward()
+    _pack_loss(model, bags, assign_mode="soft")[0].backward()
 
     # no ablation and gated-attention pooling: every parameter has a gradient
     errors = {}

@@ -25,7 +25,7 @@ from mico.model import (
 from mico.train import (
     EarlyStopper,
     TrainConfig,
-    _bag_loss,
+    _pack_loss,
     ablate,
     end_to_end_gradcheck,
     sweep_anchors,
@@ -212,7 +212,8 @@ def test_09_protocol_fidelity():
             break
     stop_ok = e == 9 and s.should_stop
 
-    # accumulating two identical bags at grad_accum=2 equals one bag at 1
+    # a grad-accum group of two identical bags, run as one pack as training
+    # runs it, at grad_accum=2 takes the step of one bag at grad_accum=1
     bags = generate(SynthConfig(n_bags=2, d=6, seed=5, task="subtype",
                                 m_range=(5, 8), n_prototypes=3))
     bags[1].features = bags[0].features.copy()
@@ -222,8 +223,7 @@ def test_09_protocol_fidelity():
         model = MicoModel(MicoConfig(d=6, anchors=4, layers=2, task="subtype"),
                           rng=np.random.default_rng(0))
         opt = Adam(model.params, lr=1e-3)
-        for bag in bag_list:
-            ad.scale(_bag_loss(model, bag), 1.0 / accum).backward()
+        ad.scale(_pack_loss(model, bag_list)[0], 1.0 / accum).backward()
         opt.step()
         return model.state_arrays()
 

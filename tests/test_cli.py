@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -141,7 +142,11 @@ class TestExitCodes:
             code = main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
                          "--lr", "1e300"] + TRAIN_FLAGS)
         assert code == EXIT_NUMERICAL
-        assert "fold 0" in capsys.readouterr().err
+        # one line naming the fold, the first diverging bag of its pack and
+        # the epoch
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical error: fold 0: .+ on bag 'bag\d{4}' at epoch \d+"
+                            r"(; parameter '[\w.]+' holds a non-finite value)?\n", err), err
 
     def test_diverging_run_prints_only_the_error(self, tmp_path):
         # NumPy's overflow warnings go to stderr outside pytest's capture, so
@@ -203,7 +208,12 @@ class TestExitCodes:
 
     def test_gradcheck_ok(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
-        assert "gradient check passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gradient check passed" in out
+        # single bags and packs of three, so every fused node's segment form
+        for task in ("survival", "subtype"):
+            for pack in (1, 3):
+                assert f"{task}, pack of {pack}: max relative error" in out
 
 
 class TestFullFlow:

@@ -23,20 +23,20 @@ from test_autodiff import fd_grad, max_rel_err
 class TestSurvivalNll:
     def test_event_in_first_bin_is_neg_log_hazard(self):
         logits = np.array([0.4, -1.0, 2.0, 0.0])
-        loss = survival_nll(Tensor(logits), SurvivalLabel(1.0, True, bin=0), 4)
+        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(1.0, True, bin=0)], 4)
         p0 = 1.0 / (1.0 + math.exp(-0.4))
         assert float(loss.data) == pytest.approx(-math.log(p0), abs=1e-12)
 
     def test_censored_last_bin_all_half_hazards(self):
         # censored in bin 3 with every hazard 0.5: -sum of four log(0.5)
-        loss = survival_nll(Tensor(np.zeros(4)), SurvivalLabel(9.0, False, bin=3), 4)
+        loss, _ = survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(9.0, False, bin=3)], 4)
         assert float(loss.data) == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
     def test_event_middle_bin_hand_formula(self):
         logits = np.array([0.3, -0.7, 1.1])
         p = 1.0 / (1.0 + np.exp(-logits))
         expected = -(math.log(1 - p[0]) + math.log(1 - p[1]) + math.log(p[2]))
-        loss = survival_nll(Tensor(logits), SurvivalLabel(5.0, True, bin=2), 3)
+        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(5.0, True, bin=2)], 3)
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
     def test_survival_curve_monotone_non_increasing(self):
@@ -55,22 +55,45 @@ class TestSurvivalNll:
     ])
     def test_gradient_matches_finite_differences(self, label):
         rng = np.random.default_rng(1)
-        za = rng.standard_normal(4)
+        za = rng.standard_normal((1, 4))
 
         def loss_val():
-            return float(survival_nll(Tensor(za), label, 4).data)
+            return float(survival_nll(Tensor(za), [label], 4)[0].data)
 
         z = Tensor(za, requires_grad=True)
-        survival_nll(z, label, 4).backward()
+        survival_nll(z, [label], 4)[0].backward()
         assert max_rel_err(z.grad, fd_grad(loss_val, za)) < 1e-6
+
+    def test_batch_sums_per_bag_losses(self):
+        # one node for B bags: its per-bag values are the single-bag losses,
+        # its value their sum, and its gradient matches finite differences
+        rng = np.random.default_rng(3)
+        za = 3.0 * rng.standard_normal((5, 4))
+        labels = [SurvivalLabel(1.0, i % 2 == 0, bin=(3 * i) % 4) for i in range(5)]
+        loss, per_bag = survival_nll(Tensor(za), labels, 4)
+        single = [float(survival_nll(Tensor(za[i:i + 1]), [lab], 4)[0].data)
+                  for i, lab in enumerate(labels)]
+        assert np.array_equal(per_bag, single)
+        assert float(loss.data) == pytest.approx(sum(single), abs=1e-12)
+        z = Tensor(za, requires_grad=True)
+        survival_nll(z, labels, 4)[0].backward()
+        numeric = fd_grad(lambda: float(survival_nll(Tensor(za), labels, 4)[0].data), za)
+        assert max_rel_err(z.grad, numeric) < 1e-6
+
+    def test_output_shape_must_match_labels(self):
+        labels = [SurvivalLabel(1.0, True, bin=0)] * 2
+        with pytest.raises(ConfigError, match="2 rows of 4"):
+            survival_nll(Tensor(np.zeros((1, 4))), labels, 4)
+        with pytest.raises(ConfigError):
+            survival_nll(Tensor(np.zeros(8)), labels, 4)
 
     def test_bin_out_of_range(self):
         with pytest.raises(ConfigError):
-            survival_nll(Tensor(np.zeros(4)), SurvivalLabel(1.0, True, bin=4), 4)
+            survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(1.0, True, bin=4)], 4)
 
     def test_unset_bin_rejected(self):
         with pytest.raises(ConfigError):
-            survival_nll(Tensor(np.zeros(4)), SurvivalLabel(1.0, True), 4)
+            survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(1.0, True)], 4)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):
@@ -79,26 +102,30 @@ class TestSurvivalNll:
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_n(self):
-        loss = cross_entropy(Tensor(np.zeros(2)), SubtypeLabel(1), 2)
+        loss, _ = cross_entropy(Tensor(np.zeros((1, 2))), [SubtypeLabel(1)], 2)
         assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_near_certain_correct_class(self):
-        loss = cross_entropy(Tensor(np.array([20.0, 0.0])), SubtypeLabel(0), 2)
+        loss, _ = cross_entropy(Tensor(np.array([[20.0, 0.0]])), [SubtypeLabel(0)], 2)
         assert float(loss.data) < 1e-4
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(2)
-        za = rng.standard_normal(3)
+        za = rng.standard_normal((4, 3))
         z = Tensor(za, requires_grad=True)
-        cross_entropy(z, SubtypeLabel(2), 3).backward()
-        soft = np.exp(za - za.max())
-        soft /= soft.sum()
-        expected = soft - np.array([0.0, 0.0, 1.0])
+        loss, per_bag = cross_entropy(z, [SubtypeLabel(c) for c in (2, 0, 1, 2)], 3)
+        loss.backward()
+        soft = np.exp(za - za.max(axis=1, keepdims=True))
+        soft /= soft.sum(axis=1, keepdims=True)
+        expected = soft - np.eye(3)[[2, 0, 1, 2]]
         assert np.max(np.abs(z.grad - expected)) < 1e-12
+        assert np.max(np.abs(per_bag + np.log(soft[range(4), [2, 0, 1, 2]]))) < 1e-12
 
     def test_class_out_of_range(self):
         with pytest.raises(ConfigError):
-            cross_entropy(Tensor(np.zeros(2)), SubtypeLabel(2), 2)
+            cross_entropy(Tensor(np.zeros((1, 2))), [SubtypeLabel(2)], 2)
+        with pytest.raises(ConfigError, match="1 rows of 2"):
+            cross_entropy(Tensor(np.zeros((2, 2))), [SubtypeLabel(1)], 2)
 
 
 class TestBinning:

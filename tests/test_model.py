@@ -190,10 +190,16 @@ class TestRouteUpdate:
         assert np.array_equal(out.data, H.data)
 
     def test_one_hot_selects_anchor_row(self):
+        rng = np.random.default_rng(16)
         S = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         A = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        ctx = ad.matmul(Tensor(A), Tensor(S))
-        assert np.array_equal(ctx.data, [[5.0, 6.0], [3.0, 4.0]])
+        H = rng.standard_normal((2, 2))
+        w1, b1, w2, b2 = (p.data for p in mlp_params(rng, 2, 3))
+        out = route_update(Tensor(H), Tensor(A), Tensor(S), *map(Tensor, (w1, b1, w2, b2)))
+        # each row's context is the anchor row its one-hot assignment picks
+        X = H + S[[2, 1]]
+        expected = H + gelu_ref(X @ w1 + b1) @ w2 + b2
+        assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_gradient_wrt_instances_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -259,6 +265,77 @@ class TestClusterReduce:
         S = Tensor(Sa, requires_grad=True)
         ad.sum_(cluster_reduce(S, *params)).backward()
         assert max_rel_err(S.grad, fd_grad(loss_val, Sa)) < 1e-5
+
+
+class TestActivations:
+    def test_gelu_fixes_origin(self):
+        assert mm._gelu(np.array([0.0]))[0] == 0.0
+
+    def test_gelu_close_to_erf_reference(self):
+        # tanh approximation vs exact x * Phi(x)
+        for x in (1.0, -0.5, 2.3):
+            exact = x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+            assert abs(mm._gelu(np.array([x]))[0] - exact) < 1e-3
+
+    def test_gelu_slope_matches_finite_differences(self):
+        xa = np.random.default_rng(17).uniform(-3, 3, size=20)
+        numeric = fd_grad(lambda: float(mm._gelu(xa).sum()), xa)
+        assert max_rel_err(mm._gelu_slope(xa), numeric) < 1e-6
+
+    def test_sigmoid_is_stable_at_the_extremes(self):
+        x = np.array([-800.0, -30.0, -0.0, 0.0, 0.7, 30.0, 800.0])
+        assert np.array_equal(mm._sigmoid(x)[[0, 2, 3, 6]], [0.0, 0.5, 0.5, 1.0])
+        assert max_rel_err(mm._sigmoid(x[1:-1]), 1.0 / (1.0 + np.exp(-x[1:-1]))) < 1e-15
+
+
+def _route_inputs(rng, sizes):
+    # soft weights, so the assignment input has a gradient of its own
+    n, K, d, h = sum(sizes), 3, 4, 5
+    return ([rng.standard_normal((n, d)), rng.uniform(0.1, 1.0, (n, K)),
+             rng.standard_normal((len(sizes) * K, d))]
+            + [p.data for p in mlp_params(rng, d, h)[:2]]
+            + [rng.standard_normal((h, d)), rng.standard_normal(d)])
+
+
+def _reduce_inputs(rng, sizes):
+    K, d = 4, 3
+    return [rng.standard_normal((len(sizes) * K, d)), rng.standard_normal((K, K)),
+            rng.standard_normal(K), rng.standard_normal((K, K // 2)),
+            rng.standard_normal(K // 2)]
+
+
+def _pool_inputs(rng, sizes):
+    d, h = 4, 3
+    return [rng.standard_normal((sum(sizes), d)), rng.standard_normal((d, h)),
+            rng.standard_normal((d, h)), rng.standard_normal((h, 1))]
+
+
+FUSED = {
+    "route_update": (_route_inputs, lambda t, seg: route_update(*t, seg)),
+    "cluster_reduce": (_reduce_inputs, lambda t, seg: cluster_reduce(*t, seg.count)),
+    "gated_attention_pool": (_pool_inputs, lambda t, seg: gated_attention_pool(*t, seg)[0]),
+}
+
+
+@pytest.mark.parametrize("sizes", [[6], [4, 1, 5]], ids=["B1", "B3"])
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_node_gradients_match_finite_differences(name, sizes):
+    # every input of the one-node layer, alone and in a pack of three bags
+    make_inputs, call = FUSED[name]
+    rng = np.random.default_rng(18)
+    arrays = make_inputs(rng, sizes)
+    seg = ad.Segments(sizes)
+    R = rng.standard_normal(call([Tensor(a) for a in arrays], seg).data.shape)
+
+    def loss_val():
+        return float((call([Tensor(a) for a in arrays], seg).data * R).sum())
+
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = call(leaves, seg)
+    assert out._op == name and set(map(id, out._children)) == set(map(id, leaves))
+    ad.sum_(ad.mul(out, Tensor(R))).backward()
+    for i, (leaf, arr) in enumerate(zip(leaves, arrays)):
+        assert max_rel_err(leaf.grad, fd_grad(loss_val, arr)) < 1e-5, i
 
 
 class TestGatedAttentionPool:

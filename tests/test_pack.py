@@ -17,7 +17,7 @@ from mico.data import FeatureBag
 from mico.errors import DataError
 from mico.losses import SubtypeLabel, SurvivalLabel
 from mico.model import MicoConfig, MicoModel, aggregate_anchors
-from mico.train import _bag_loss, _pack_loss, end_to_end_gradcheck, evaluate_model
+from mico.train import _pack_loss, end_to_end_gradcheck, evaluate_model
 
 # the module, not the ``mico.train`` function the package exports
 train_mod = importlib.import_module("mico.train")
@@ -65,10 +65,10 @@ def test_pack_logits_and_gradients_match_per_bag(config):
     params = model.trainable_params()
     ad.zero_grad(model.params.values())
     for bag in bags:
-        _bag_loss(model, bag).backward()
+        _pack_loss(model, [bag])[0].backward()
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags).backward()
+    _pack_loss(model, bags)[0].backward()
     for name, p in params.items():
         assert rel_dev(p.grad, expected[name]) <= 1e-12, name
 
@@ -121,14 +121,15 @@ def test_forward_rejects_a_bad_bag_in_a_pack():
 class TestNoGrad:
     def test_records_nothing_and_restores(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2))
         with ad.no_grad():
-            y = ad.matmul(x, x)
+            y = ad.linear(x, x, b)
             assert not y.requires_grad and y._children == () and y._backward is None
             with pytest.raises(RuntimeError):
                 with ad.no_grad():
                     raise RuntimeError("leaves the block")
-            assert not ad.matmul(x, x).requires_grad
-        z = ad.sum_(ad.matmul(x, x))
+            assert not ad.linear(x, x, b).requires_grad
+        z = ad.sum_(ad.linear(x, x, b))
         z.backward()
         assert np.array_equal(x.grad, np.full((2, 2), 4.0))
 
@@ -148,10 +149,10 @@ def test_assignment_records_survive_later_forward_and_step():
     _, records = model.forward(bag.features)
     snapshot = [{k: np.copy(v) for k, v in vars(r).items()} for r in records]
     opt = Adam(model.trainable_params(), lr=0.1)
-    _bag_loss(model, bag).backward()
+    _pack_loss(model, [bag])[0].backward()
     opt.step()
     model.forward(make_bags(rng, "subtype", [5], d=6)[0].features)
-    _bag_loss(model, bag).backward()
+    _pack_loss(model, [bag])[0].backward()
     opt.step()
     for rec, snap in zip(records, snapshot):
         for key, value in vars(rec).items():

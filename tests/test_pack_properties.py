@@ -1,9 +1,10 @@
 """Property tests of packing over random pack shapes (needs ``hypothesis``).
 
 Over random bag counts, bag sizes (M = 1 included), feature widths, anchor
-counts and layer counts: a pack's logits equal its bags' per-bag logits,
-every layer's assignment counts add up to each bag's size, and permuting the
-bags of a pack permutes its output rows.
+counts and layer counts: a pack's logits equal its bags' per-bag logits, the
+gradient of its summed loss equals the sum of its bags' gradients, every
+layer's assignment counts add up to each bag's size, and permuting the bags
+of a pack permutes its output rows.
 """
 
 import numpy as np
@@ -12,7 +13,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from mico import autodiff as ad  # noqa: E402
+from mico.data import FeatureBag  # noqa: E402
+from mico.losses import SubtypeLabel, SurvivalLabel  # noqa: E402
 from mico.model import MicoConfig, MicoModel  # noqa: E402
+from mico.train import _pack_loss  # noqa: E402
 
 # derandomized: the suite draws the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -43,6 +48,26 @@ def test_packed_logits_equal_per_bag_logits(case):
     packed, _ = model.forward(bags)
     single = np.concatenate([model.forward(X)[0].data for X in bags])
     assert close(packed.data, single)
+
+
+@PROPERTY_SETTINGS
+@given(packs())
+def test_packed_group_gradient_equals_sum_of_per_bag_gradients(case):
+    model, arrays = case
+    cfg = model.config
+    bags = [FeatureBag(bag_id=f"b{i}", features=X,
+                       label=(SurvivalLabel(time=1.0, event=i % 2 == 0, bin=i % cfg.survival_bins)
+                              if cfg.task == "survival" else SubtypeLabel(i % cfg.subtype_classes)))
+            for i, X in enumerate(arrays)]
+    params = model.trainable_params()
+    for bag in bags:
+        _pack_loss(model, [bag])[0].backward()
+    expected = {name: p.grad for name, p in params.items()}
+    ad.zero_grad(model.params.values())
+    _pack_loss(model, bags)[0].backward()
+    for name, p in params.items():
+        assert close(p.grad, expected[name]), name
+    ad.zero_grad(model.params.values())
 
 
 @PROPERTY_SETTINGS

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from mico import autodiff as ad
+from mico import losses as losses_mod
 from mico import model as model_mod
 from mico.autodiff import Tensor
-from mico.data import FeatureBag
+from mico.data import FeatureBag, SynthConfig, generate
 from mico.losses import SubtypeLabel, SurvivalLabel
 from mico.model import MicoConfig, MicoModel
-from mico.train import _bag_loss
+from mico.train import TrainConfig, _pack_loss, train
 
 
 @contextlib.contextmanager
@@ -72,49 +73,43 @@ def _soft(rng):
     return model_mod._soft_assign(A), [A]
 
 
-def _binary(rng):
+def _route(rng, sizes=(5,)):
+    n, B = sum(sizes), len(sizes)
+    leaves = [leaf(rng, n, 3), leaf(rng, n, 4), leaf(rng, 4 * B, 3),
+              leaf(rng, 3, 2), leaf(rng, 2), leaf(rng, 2, 3), leaf(rng, 3)]
+    return model_mod.route_update(*leaves, ad.Segments(list(sizes))), leaves
+
+
+def _route_packed(rng):
+    return _route(rng, (2, 1, 3))
+
+
+def _reduce(rng, bags=1):
+    leaves = [leaf(rng, 4 * bags, 3), leaf(rng, 4, 4), leaf(rng, 4), leaf(rng, 4, 2), leaf(rng, 2)]
+    return model_mod.cluster_reduce(*leaves, bags), leaves
+
+
+def _reduce_packed(rng):
+    return _reduce(rng, 3)
+
+
+def _pool(rng, sizes=(5,)):
+    leaves = [leaf(rng, sum(sizes), 3), leaf(rng, 3, 2), leaf(rng, 3, 2), leaf(rng, 2, 1)]
+    return model_mod.gated_attention_pool(*leaves, ad.Segments(list(sizes)))[0], leaves
+
+
+def _pool_packed(rng):
+    return _pool(rng, (2, 1, 3))
+
+
+def _mul(rng):
     a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
-    return ad.div(ad.mul(a, b), 2.0), [a, b]
+    return ad.mul(ad.mul(a, b), 2.0), [a, b]
 
 
-def _unary(rng):
-    a = leaf(rng, 3, 4)
-    return ad.gelu(ad.tanh(a)), [a]
-
-
-def _matmul(rng):
-    a, b = leaf(rng, 3, 4), leaf(rng, 4, 2)
-    return ad.matmul(a, b), [a, b]
-
-
-def _matmul_packed(rng):
-    a, b = leaf(rng, 5, 4), leaf(rng, 8, 2)
-    return ad.matmul(a, b, ad.Segments([3, 2])), [a, b]
-
-
-def _weighted_sum(rng):
-    w, x = leaf(rng, 5), leaf(rng, 5, 3)
-    return ad.weighted_sum(w, x, ad.Segments([1, 4])), [w, x]
-
-
-def _softmax(rng):
-    a = leaf(rng, 6)
-    return ad.softmax(a, ad.Segments([2, 3, 1])), [a]
-
-
-def _add_bias(rng):
-    m, b = leaf(rng, 3, 4), leaf(rng, 4)
-    return ad.add_bias(m, b), [m, b]
-
-
-def _transpose(rng):
-    a = leaf(rng, 3, 4)
-    return ad.transpose(a), [a]
-
-
-def _transpose_blocks(rng):
-    a = leaf(rng, 6, 4)
-    return ad.transpose(a, 3), [a]
+def _linear(rng):
+    x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 2), leaf(rng, 2)
+    return ad.linear(x, w, b), [x, w, b]
 
 
 def _reshape(rng):
@@ -127,19 +122,23 @@ def _sum(rng):
     return ad.sum_(a, axis=0), [a]
 
 
+def _survival(rng):
+    z = leaf(rng, 3, 4)
+    labels = [SurvivalLabel(time=1.0, event=i != 1, bin=i) for i in range(3)]
+    return losses_mod.survival_nll(z, labels, 4)[0], [z]
+
+
+def _cross_entropy(rng):
+    z = leaf(rng, 3, 2)
+    return losses_mod.cross_entropy(z, [SubtypeLabel(c) for c in (1, 0, 1)], 2)[0], [z]
+
+
 # at least one case per function whose source calls _make(; each builds that
 # op's output from fresh leaves and returns it with the leaves. The
 # ".packed" cases run the segment-aware form over several bags.
 CASES = {
-    "autodiff._binary": _binary,
-    "autodiff._unary": _unary,
-    "autodiff.matmul": _matmul,
-    "autodiff.matmul.packed": _matmul_packed,
-    "autodiff.weighted_sum": _weighted_sum,
-    "autodiff.softmax": _softmax,
-    "autodiff.add_bias": _add_bias,
-    "autodiff.transpose": _transpose,
-    "autodiff.transpose.packed": _transpose_blocks,
+    "autodiff.mul": _mul,
+    "autodiff.linear": _linear,
     "autodiff.reshape": _reshape,
     "autodiff.sum_": _sum,
     "model.cosine_alignment": _cosine,
@@ -148,6 +147,14 @@ CASES = {
     "model.aggregate_anchors": _aggregate,
     "model.aggregate_anchors.packed": _aggregate_packed,
     "model._soft_assign": _soft,
+    "model.route_update": _route,
+    "model.route_update.packed": _route_packed,
+    "model.cluster_reduce": _reduce,
+    "model.cluster_reduce.packed": _reduce_packed,
+    "model.gated_attention_pool": _pool,
+    "model.gated_attention_pool.packed": _pool_packed,
+    "losses.survival_nll": _survival,
+    "losses.cross_entropy": _cross_entropy,
 }
 
 
@@ -171,7 +178,7 @@ def _op_output_refs(root):
 
 def test_every_make_caller_has_a_lifetime_case():
     callers = set()
-    for mod in (ad, model_mod):
+    for mod in (ad, model_mod, losses_mod):
         short = mod.__name__.rsplit(".", 1)[1]
         members = [fn for _, fn in inspect.getmembers(mod, inspect.isfunction)]
         for _, cls in inspect.getmembers(mod, inspect.isclass):
@@ -238,15 +245,41 @@ def test_forward_without_backward_frees_the_tape(task, mode):
 @pytest.mark.parametrize("task", ["survival", "subtype"])
 def test_backward_frees_intermediates_while_loss_lives(task, mode):
     model, bag = _model_and_bag(task)
-    _bag_loss(model, bag, assign_mode=mode).backward()
+    _pack_loss(model, [bag], assign_mode=mode)[0].backward()
     expected = {name: p.grad for name, p in model.params.items()}
     ad.zero_grad(model.params.values())
 
     with no_cycle_collector():
-        loss = _bag_loss(model, bag, assign_mode=mode)
+        loss = _pack_loss(model, [bag], assign_mode=mode)[0]
         refs = _op_output_refs(loss)[1:]
         loss.backward()
         assert [r for r in refs if r() is not None] == []
         assert np.isfinite(loss.data)
     for name, p in model.params.items():
         assert np.array_equal(p.grad, expected[name]), name
+
+
+@pytest.mark.parametrize("grad_accum", [1, 2])
+@pytest.mark.parametrize("task", ["survival", "subtype"])
+def test_a_training_pack_records_at_most_13_nodes(task, grad_accum, monkeypatch):
+    # acceptance size: one node per layer op, the head, the loss and the
+    # grad-accum scale, however many bags the pack holds
+    nodes, packs = [], []
+    backward, forward = ad.backward, MicoModel.forward
+
+    def counting_backward(loss):
+        nodes.append(len(_op_output_refs(loss)))
+        backward(loss)
+
+    def recording_forward(self, features, assign_mode="hard"):
+        if ad._grad_enabled:
+            packs.append(len(features))
+        return forward(self, features, assign_mode)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    monkeypatch.setattr(MicoModel, "forward", recording_forward)
+    bags = generate(SynthConfig(n_bags=12, d=32, seed=0, task=task, m_range=(25, 50)))
+    train(TrainConfig(seed=0, task=task, epochs=2, anchor_count=16, layers=2,
+                      grad_accum=grad_accum, n_folds=1), bags)
+    assert grad_accum in packs and len(nodes) == len(packs)
+    assert max(nodes) <= 13 and len(set(nodes)) == 1, nodes

@@ -8,12 +8,12 @@ import pytest
 from mico import autodiff as ad
 from mico.autodiff import Adam, Tensor, zero_grad
 from mico.data import SynthConfig, generate
-from mico.errors import ConfigError, DataError
+from mico.errors import ConfigError, DataError, NumericalError
 from mico.model import MicoModel
 from mico.train import (
     EarlyStopper,
     TrainConfig,
-    _bag_loss,
+    _pack_loss,
     ablate,
     comparison_table,
     evaluate_checkpoint,
@@ -21,6 +21,7 @@ from mico.train import (
     export_assignments,
     sweep_anchors,
     train,
+    train_fold,
 )
 
 
@@ -93,8 +94,9 @@ class TestTrain:
         assert curve[-1] < curve[0]
 
     def test_grad_accum_step_equivalence(self):
-        # two identical bags with grad_accum=2 must take the same single Adam
-        # step as one bag with grad_accum=1 (accumulated loss is averaged)
+        # two identical bags with grad_accum=2, one pack as in training, must
+        # take the same single Adam step as one bag with grad_accum=1 (the
+        # accumulated loss is averaged)
         bags = small_bags(n=2, seed=5)
         bags[1].features = bags[0].features.copy()
         bags[1].label = copy.deepcopy(bags[0].label)
@@ -103,8 +105,7 @@ class TestTrain:
             rng = np.random.default_rng(0)
             model = MicoModel(tiny_config().model_config(6), rng=rng)
             opt = Adam(model.params, lr=1e-3)
-            for bag in bag_list:
-                ad.scale(_bag_loss(model, bag), 1.0 / accum).backward()
+            ad.scale(_pack_loss(model, bag_list)[0], 1.0 / accum).backward()
             opt.step()
             return model.state_arrays()
 
@@ -112,6 +113,52 @@ class TestTrain:
         single = one_update(bags[:1], accum=1)
         for name in double:
             assert np.allclose(double[name], single[name], atol=1e-12)
+
+    def test_groups_carry_over_epochs_and_step_once_each(self, monkeypatch):
+        # 12 training bags at grad_accum=5 over 3 epochs: one Adam step per
+        # 5 bags run, the group cut by an epoch's end finished in the next
+        packs, steps = [], []
+        forward, step = MicoModel.forward, Adam.step
+
+        def recording_forward(self, features, assign_mode="hard"):
+            if ad._grad_enabled:
+                packs.append(len(features))
+            return forward(self, features, assign_mode)
+
+        monkeypatch.setattr(MicoModel, "forward", recording_forward)
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(len(packs)) or step(opt))
+        bags = small_bags()
+        train_fold(tiny_config(epochs=3, grad_accum=5), 0, bags[:12], bags[12:18], bags[18:],
+                   np.random.SeedSequence(0))
+        assert packs == [5, 5, 2, 3, 5, 4, 1, 5, 5, 1]
+        assert steps == [1, 2, 4, 5, 7, 8, 9]
+
+    def test_diverging_pack_names_its_bag(self):
+        # one pack per epoch; the bag blown up after epoch 1 is tenth in
+        # epoch 2's pack, and the error names it, not the pack's first bag
+        bags = small_bags()
+        train_bags = bags[:12]
+
+        def blow_up(model, val_bags, epoch):
+            train_bags[5].features = train_bags[5].features * 1e307
+            return 0.5
+
+        with pytest.raises(NumericalError, match=r"^fold 0: .+ on bag 'bag0005' at epoch 2$"):
+            train_fold(tiny_config(grad_accum=12), 0, train_bags, bags[12:18], bags[18:],
+                       np.random.SeedSequence(0), val_metric_fn=blow_up)
+
+    def test_diverging_run_names_a_non_finite_parameter(self):
+        bags = small_bags()
+
+        def poison(model, val_bags, epoch):
+            model.params["head.w"].data[0, 0] = np.nan
+            return 0.5
+
+        with pytest.raises(NumericalError, match=r"^fold 0: NaN/Inf loss on bag 'bag\d+' "
+                                                 r"at epoch 2; parameter 'head.w' holds a "
+                                                 r"non-finite value$"):
+            train_fold(tiny_config(grad_accum=3), 0, bags[:12], bags[12:18], bags[18:],
+                       np.random.SeedSequence(0), val_metric_fn=poison)
 
     def test_task_label_mismatch_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run tape: every op returns a new Tensor holding references to its
-inputs and a closure implementing the backward rule. ``backward`` on a scalar
-walks the recorded graph once in reverse topological order and accumulates
-gradients into every reachable leaf with ``requires_grad=True``.
+inputs and a closure implementing the backward rule. ``backward`` on a scalar,
+or on any tensor with an upstream gradient of its shape, walks the recorded
+graph once in reverse topological order and accumulates gradients into every
+reachable leaf with ``requires_grad=True``.
 
 A backward rule never captures the op's output Tensor (it reaches the
 output's gradient through a weak reference), so the tape holds no reference
@@ -15,11 +16,9 @@ gradients, and a tape is differentiated once.
 Under ``no_grad()`` ops record nothing: outputs carry no inputs and no rule,
 so scoring builds no tape at all.
 
-The generic ops are the few the model composes outside its fused layers:
-``linear`` for the head, ``scale`` for gradient accumulation, and ``reshape``,
-``sum_`` and ``mean`` for anchor-mean pooling. Broadcasting is limited to
-scalar-with-tensor. Each layer of the model (``mico.model``) and each loss
-(``mico.losses``) is one node with a hand-written backward rule.
+Every op is one node with a hand-written backward rule: ``linear`` for the
+head here, each layer of the model in ``mico.model`` and each loss in
+``mico.losses``.
 
 A pack is B bags stacked into one (sum of M, d) matrix with row offsets, the
 varlen layout of FlashAttention-2; ``Segments`` describes it, and its methods
@@ -31,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import weakref
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .errors import (
     OptimizerError,
     ShapeError,
 )
-
-Scalar = Union[int, float]
 
 _grad_enabled = True
 
@@ -84,8 +81,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    def backward(self) -> None:
-        backward(self)
+    def backward(self, grad=None) -> None:
+        backward(self, grad)
 
 
 class Segments:
@@ -165,10 +162,6 @@ class Segments:
         return v if self.count == 1 else v[self.ids]
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -194,31 +187,8 @@ def _make(data, children, op, bw) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------------
-# generic ops: the head, gradient-accumulation scaling and anchor-mean pooling
-
-def mul(a, b) -> Tensor:
-    """Elementwise product; one operand may be a scalar (python or 0-d)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_scalar, b_scalar = a.data.ndim == 0, b.data.ndim == 0
-    if not (a_scalar or b_scalar) and a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: operand shapes {a.data.shape} and {b.data.shape} differ")
-
-    def bw(g):
-        ga, gb = g * b.data, g * a.data
-        _accum(a, np.sum(ga) if a_scalar and not b_scalar else ga)
-        _accum(b, np.sum(gb) if b_scalar and not a_scalar else gb)
-
-    return _make(a.data * b.data, (a, b), "mul", bw)
-
-
-def scale(a, c: Scalar) -> Tensor:
-    return mul(a, float(c))
-
-
-def linear(x, w, b) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b: (n, p) rows, a (p, q) weight and a length-q bias give (n, q)."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
         raise ShapeError(
@@ -234,53 +204,25 @@ def linear(x, w, b) -> Tensor:
     return _make(out, (x, w, b), "linear", bw)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view size {a.data.size} as {shape}")
-    return _make(a.data.reshape(shape), (a,), "reshape",
-                 lambda g: _accum(a, g.reshape(a.data.shape)))
-
-
-def _check_axis(a: Tensor, axis):
-    if axis is not None and not (-a.data.ndim <= axis < a.data.ndim):
-        raise ShapeError(f"axis {axis} out of range for rank-{a.data.ndim} tensor")
-
-
-def sum_(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    _check_axis(a, axis)
-    data = a.data.sum(axis=axis)
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _make(data, (a,), "sum", bw)
-
-
-def mean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    _check_axis(a, axis)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``
-    and spend the tape: op outputs drop their rule, inputs and gradient."""
-    if loss.data.ndim != 0:
-        raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+def backward(root: Tensor, grad=None) -> None:
+    """Populate ``grad`` on every requires_grad leaf reachable from ``root``
+    and spend the tape: op outputs drop their rule, inputs and gradient.
+
+    ``grad`` seeds the walk with an upstream gradient of ``root``'s shape;
+    omitted, it is 1 and ``root`` must be a scalar."""
+    seed = np.asarray(1.0 if grad is None else grad, dtype=np.float64)
+    if seed.shape != root.data.shape:
+        raise GraphError(f"backward: seed of shape {seed.shape} for a root of shape "
+                         f"{root.data.shape} (without a seed the root must be scalar)")
+    if not root.requires_grad:
         raise GraphError("backward: tensor is detached from the tape (requires_grad=False)")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -289,8 +231,8 @@ def backward(loss: Tensor) -> None:
         if id(node) in visited:
             continue
         if node._op != "leaf" and node._backward is None:
-            # the loss itself on a repeated call, or a node shared with a
-            # loss that was already differentiated
+            # the root itself on a repeated call, or a node shared with a
+            # root that was already differentiated
             raise GraphError("backward: this tape was spent by an earlier backward; "
                              "run a new forward pass")
         visited.add(id(node))
@@ -299,7 +241,7 @@ def backward(loss: Tensor) -> None:
             if child.requires_grad and id(child) not in visited:
                 stack.append((child, False))
 
-    loss.grad = np.ones((), dtype=np.float64)
+    _accum(root, seed)
     for node in reversed(topo):
         if node._backward is not None:
             if node.grad is not None:

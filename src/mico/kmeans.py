@@ -44,6 +44,14 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _recenter(centers: np.ndarray, points: np.ndarray, assignments: np.ndarray) -> None:
+    """Move every center that has assigned points, in place, to their mean."""
+    for j in range(centers.shape[0]):
+        mask = assignments == j
+        if mask.any():
+            centers[j] = points[mask].mean(axis=0)
+
+
 def fit(instances: np.ndarray, k: int, max_iters: int = 100,
         tol: float = 1e-6, seed: int = 0) -> KMeansResult:
     """Cluster instance rows into ``k`` centers.
@@ -75,10 +83,7 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
         history.append(inertia)
 
         new_centers = centers.copy()
-        for j in range(k):
-            mask = assignments == j
-            if mask.any():
-                new_centers[j] = X[mask].mean(axis=0)
+        _recenter(new_centers, X, assignments)
         # repair empty clusters with the globally worst-fit point
         point_d2 = d2[np.arange(n), assignments]
         for j in range(k):
@@ -97,10 +102,7 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
     # assigned points (clusters left empty by the last update keep their center)
     d2 = _sq_dists(X, centers)
     assignments = np.argmin(d2, axis=1)
-    for j in range(k):
-        mask = assignments == j
-        if mask.any():
-            centers[j] = X[mask].mean(axis=0)
+    _recenter(centers, X, assignments)
     return KMeansResult(centers=centers, assignments=assignments,
                         inertia_history=history, iterations_run=iters)
 

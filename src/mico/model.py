@@ -91,8 +91,14 @@ class MicoConfig:
         if self.anchors < 1 or self.anchors % (2 ** self.layers) != 0:
             raise ConfigError(
                 f"anchor count {self.anchors} must be divisible by 2^layers = {2 ** self.layers}")
+        if self.mlp_hidden < 1:
+            raise ConfigError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
         if self.task not in ("survival", "subtype"):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.survival_bins < 2:
+            raise ConfigError(f"survival_bins must be >= 2, got {self.survival_bins}")
+        if self.subtype_classes < 2:
+            raise ConfigError(f"subtype_classes must be >= 2, got {self.subtype_classes}")
         if self.pooling not in ("gated_attention", "anchor_mean"):
             raise ConfigError(f"unknown pooling {self.pooling!r}")
 
@@ -355,6 +361,17 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
     return pooled, attn
 
 
+def anchor_mean_pool(S: Tensor, bags: int = 1) -> Tensor:
+    """Mean of each bag's final anchors: the (B*K, d) stacked anchors give the
+    (B, d) pooled features."""
+    if S.data.ndim != 2 or S.data.shape[0] % bags:
+        raise ShapeError(f"anchor_mean_pool: {S.data.shape} anchor rows for {bags} bags")
+    K = S.data.shape[0] // bags
+    pooled = S.data.reshape(bags, K, S.data.shape[1]).sum(axis=1) * (1.0 / K)
+    return _make(pooled, (S,), "anchor_mean_pool",
+                 lambda g: _accum(S, np.repeat(g * (1.0 / K), K, axis=0)))
+
+
 def _soft_assign(A: Tensor) -> Tensor:
     """Row-softmax relaxation of the hard assignment (finite-difference mode)."""
     z = A.data - A.data.max(axis=1, keepdims=True)
@@ -497,8 +514,7 @@ class MicoModel:
             pooled, _ = gated_attention_pool(
                 H, self.params["attn.V"], self.params["attn.U"], self.params["attn.w"], seg)
         else:  # anchor_mean
-            pooled = ad.mean(ad.reshape(S, (seg.count, S.data.shape[0] // seg.count, cfg.d)),
-                             axis=1)
+            pooled = anchor_mean_pool(S, seg.count)
 
         out = ad.linear(pooled, self.params["head.w"], self.params["head.b"])
         return out, assignments

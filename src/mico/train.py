@@ -71,8 +71,13 @@ class TrainConfig:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
         if self.epochs < 1 or self.early_stop_patience < 1:
             raise ConfigError("epochs and early_stop_patience must be positive")
-        if self.task not in ("survival", "subtype"):
-            raise ConfigError(f"unknown task {self.task!r}")
+        if self.n_folds < 1:
+            raise ConfigError(f"n_folds must be >= 1, got {self.n_folds}")
+        if self.kmeans_pool_cap < 1:
+            raise ConfigError(f"kmeans_pool_cap must be >= 1, got {self.kmeans_pool_cap}")
+        # the model fields, by MicoConfig's rules; d=1 is always valid, and
+        # the real d is known only once the data is read
+        self.model_config(1)
 
     def model_config(self, d: int) -> MicoConfig:
         return MicoConfig(
@@ -305,9 +310,9 @@ def train_fold(config: TrainConfig, fold_index: int,
                     except NumericalError as exc:
                         raise _divergence(exc, model, pack, fold_index, epoch) from exc
                     losses.extend(per_bag.tolist())
-                    # the summed loss is pre-scaled so one accumulated step
-                    # matches an averaged batch of grad_accum bags
-                    ad.scale(loss, 1.0 / config.grad_accum).backward()
+                    # seeding the summed loss with 1/grad_accum makes one
+                    # accumulated step match an averaged batch of grad_accum bags
+                    ad.backward(loss, 1.0 / config.grad_accum)
             pending += len(group)
             if pending == config.grad_accum:
                 opt.step()
@@ -450,14 +455,13 @@ def ablate(config: TrainConfig, bags: list[FeatureBag],
 def sweep_anchors(config: TrainConfig, bags: list[FeatureBag],
                   counts=(32, 64, 128), out_dir: str | None = None) -> dict[int, RunReport]:
     """One full run per anchor count over shared folds and seeds."""
-    for c in counts:
-        if c % (2 ** config.layers) != 0:
-            raise ConfigError(
-                f"anchor count {c} not divisible by 2^layers = {2 ** config.layers}")
+    configs = {c: _with_overrides(config, anchor_count=c) for c in counts}
+    for cfg in configs.values():
+        cfg.validate()
     reports = {}
-    for c in counts:
+    for c, cfg in configs.items():
         sub_dir = os.path.join(out_dir, f"anchors{c}") if out_dir is not None else None
-        reports[c] = train(_with_overrides(config, anchor_count=c), bags, out_dir=sub_dir)
+        reports[c] = train(cfg, bags, out_dir=sub_dir)
     if out_dir is not None:
         labeled = {f"{c} anchors": r for c, r in reports.items()}
         with open(os.path.join(out_dir, "sweep_table.txt"), "w") as f:

@@ -73,7 +73,7 @@ def test_02_ste_contract():
     rows_one_hot = (set(np.unique(hard.data)) <= {0.0, 1.0}
                     and np.array_equal(hard.data.sum(axis=1), np.ones(100)))
     upstream = rng.standard_normal((100, 8))
-    ad.sum_(ad.mul(hard, Tensor(upstream))).backward()
+    ad.backward(hard, upstream)
     identity = np.array_equal(A.grad, upstream)
     _report(2, "STE contract", rows_one_hot and identity)
 
@@ -132,7 +132,7 @@ def test_05_empty_anchor_handling():
     agg, counts = aggregate_anchors(H, onehot, Tensor(prev))
     carried = np.array_equal(agg.data[1], prev[1])
     finite = bool(np.all(np.isfinite(agg.data))) and counts[1] == 0
-    ad.sum_(ad.mul(agg, Tensor([[0.0, 0.0], [1.0, 1.0]]))).backward()
+    ad.backward(agg, [[0.0, 0.0], [1.0, 1.0]])
     zero_grad_ok = H.grad is None or not H.grad.any()
     _report(5, "empty-anchor handling", carried and finite and zero_grad_ok)
 
@@ -223,7 +223,7 @@ def test_09_protocol_fidelity():
         model = MicoModel(MicoConfig(d=6, anchors=4, layers=2, task="subtype"),
                           rng=np.random.default_rng(0))
         opt = Adam(model.params, lr=1e-3)
-        ad.scale(_pack_loss(model, bag_list)[0], 1.0 / accum).backward()
+        ad.backward(_pack_loss(model, bag_list)[0], 1.0 / accum)
         opt.step()
         return model.state_arrays()
 

@@ -99,8 +99,10 @@ class TestExitCodes:
         ({"task": "subtype", "anchors": 4, "layers": 2}, (), "'d'"),
         ({"d": 6, "anchors": 6, "layers": 2, "task": "subtype"}, (), "anchor count 6"),
         ({"d": 6, "anchors": 4.0, "layers": 2, "task": "subtype"}, (), "float"),
+        ({"d": 6, "anchors": 4, "layers": 2, "task": "subtype", "subtype_classes": 1}, (),
+         "subtype_classes"),
         (None, ("head.b",), "'head.b'"),
-    ], ids=["missing-d", "indivisible-anchors", "float-anchors", "missing-param"])
+    ], ids=["missing-d", "indivisible-anchors", "float-anchors", "one-class", "missing-param"])
     def test_malformed_checkpoint_returns_data_error(self, tmp_path, capsys,
                                                       config, drop, message):
         data_dir = make_dataset(tmp_path)
@@ -198,6 +200,26 @@ class TestExitCodes:
                      "--task", "subtype"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err and "integer" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_folds", 0), ("n_folds", -1), ("kmeans_pool_cap", 0), ("mlp_hidden", -1),
+        ("mlp_hidden", 0), ("subtype_classes", 1), ("survival_bins", 1),
+    ])
+    def test_out_of_range_config_field_returns_config_error(self, tmp_path, capsys,
+                                                            field, value):
+        data_dir = make_dataset(tmp_path)
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path)] + TRAIN_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+
+    def test_config_is_checked_before_the_data_is_read(self, tmp_path, capsys):
+        # 6 anchors do not halve twice; the dataset does not exist
+        args = ["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+        assert main(args + TRAIN_FLAGS + ["--anchor-count", "6"]) == EXIT_CONFIG
+        assert "anchor count 6" in capsys.readouterr().err
 
     def test_task_mismatch_returns_config_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)

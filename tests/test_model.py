@@ -20,6 +20,7 @@ from mico.model import (
     MicoConfig,
     MicoModel,
     aggregate_anchors,
+    anchor_mean_pool,
     cluster_reduce,
     cosine_alignment,
     gated_attention_pool,
@@ -74,7 +75,7 @@ class TestCosineAlignment:
             return float((cosine_alignment(Tensor(Ha), Tensor(Sa)).data * W).sum())
 
         H, S = Tensor(Ha, requires_grad=True), Tensor(Sa, requires_grad=True)
-        ad.sum_(ad.mul(cosine_alignment(H, S), Tensor(W))).backward()
+        ad.backward(cosine_alignment(H, S), W)
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-6
         assert max_rel_err(S.grad, fd_grad(loss_val, Sa)) < 1e-6
 
@@ -105,7 +106,7 @@ class TestSteAssign:
         rng = np.random.default_rng(3)
         A = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
         W = rng.standard_normal((7, 4))
-        ad.sum_(ad.mul(ste_assign(A), Tensor(W))).backward()
+        ad.backward(ste_assign(A), W)
         assert np.array_equal(A.grad, W)
 
 
@@ -131,7 +132,7 @@ class TestAggregateAnchors:
         S_prev = Tensor([[0.0, 0.0], [1.0, 1.0]], requires_grad=True)
         agg, _ = aggregate_anchors(H, A, S_prev)
         # loss touches only the empty anchor's row
-        ad.sum_(ad.mul(agg, Tensor([[0.0, 0.0], [1.0, 1.0]]))).backward()
+        ad.backward(agg, [[0.0, 0.0], [1.0, 1.0]])
         assert H.grad is None or np.array_equal(H.grad, np.zeros((1, 2)))
         assert np.array_equal(S_prev.grad, [[0.0, 0.0], [1.0, 1.0]])
 
@@ -167,7 +168,7 @@ class TestAggregateAnchors:
         H = Tensor(Ha, requires_grad=True)
         W = Tensor(Wa, requires_grad=True)
         agg, _ = aggregate_anchors(H, W, Tensor(Pa))
-        ad.sum_(ad.mul(agg, Tensor(G))).backward()
+        ad.backward(agg, G)
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-6
         assert max_rel_err(W.grad, fd_grad(loss_val, Wa)) < 1e-6
 
@@ -213,7 +214,7 @@ class TestRouteUpdate:
             return float(route_update(Tensor(Ha), Tensor(Aa), Tensor(Sa), *params).data.sum())
 
         H = Tensor(Ha, requires_grad=True)
-        ad.sum_(route_update(H, Tensor(Aa), Tensor(Sa), *params)).backward()
+        ad.backward(route_update(H, Tensor(Aa), Tensor(Sa), *params), np.ones((5, 3)))
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-5
 
 
@@ -263,7 +264,7 @@ class TestClusterReduce:
             return float(cluster_reduce(Tensor(Sa), *params).data.sum())
 
         S = Tensor(Sa, requires_grad=True)
-        ad.sum_(cluster_reduce(S, *params)).backward()
+        ad.backward(cluster_reduce(S, *params), np.ones((K // 2, d)))
         assert max_rel_err(S.grad, fd_grad(loss_val, Sa)) < 1e-5
 
 
@@ -310,10 +311,15 @@ def _pool_inputs(rng, sizes):
             rng.standard_normal((d, h)), rng.standard_normal((h, 1))]
 
 
+def _anchor_mean_inputs(rng, sizes):
+    return [rng.standard_normal((len(sizes) * 4, 3))]
+
+
 FUSED = {
     "route_update": (_route_inputs, lambda t, seg: route_update(*t, seg)),
     "cluster_reduce": (_reduce_inputs, lambda t, seg: cluster_reduce(*t, seg.count)),
     "gated_attention_pool": (_pool_inputs, lambda t, seg: gated_attention_pool(*t, seg)[0]),
+    "anchor_mean_pool": (_anchor_mean_inputs, lambda t, seg: anchor_mean_pool(*t, seg.count)),
 }
 
 
@@ -333,7 +339,7 @@ def test_fused_node_gradients_match_finite_differences(name, sizes):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = call(leaves, seg)
     assert out._op == name and set(map(id, out._children)) == set(map(id, leaves))
-    ad.sum_(ad.mul(out, Tensor(R))).backward()
+    ad.backward(out, R)
     for i, (leaf, arr) in enumerate(zip(leaves, arrays)):
         assert max_rel_err(leaf.grad, fd_grad(loss_val, arr)) < 1e-5, i
 
@@ -363,6 +369,29 @@ class TestGatedAttentionPool:
             H = rng.standard_normal((8, 4))
             _, attn = gated_attention_pool(Tensor(H), *self._params(rng, 4, 4))
             assert abs(attn.sum() - 1.0) < 1e-12
+
+
+class TestAnchorMeanPool:
+    @pytest.mark.parametrize("bags", [1, 3])
+    def test_matches_the_composed_ops_bit_for_bit(self, bags):
+        # the arithmetic of the reshape -> sum over anchors -> scale by 1/K
+        # chain that pooled the anchors before the fused node: the forward
+        # sums then scales, and the gradient is scaled, then broadcast
+        rng = np.random.default_rng(23)
+        K, d = 8, 5
+        Sa = rng.standard_normal((bags * K, d))
+        G = rng.standard_normal((bags, d))
+        S = Tensor(Sa, requires_grad=True)
+        pooled = anchor_mean_pool(S, bags)
+        assert np.array_equal(pooled.data, Sa.reshape(bags, K, d).sum(axis=1) * np.float64(1.0 / K))
+        ad.backward(pooled, G)
+        scaled = G * np.float64(1.0 / K)
+        assert np.array_equal(S.grad, np.broadcast_to(scaled[:, None, :], (bags, K, d))
+                              .reshape(bags * K, d))
+
+    def test_rejects_rows_not_divisible_by_bags(self):
+        with pytest.raises(ShapeError):
+            anchor_mean_pool(Tensor(np.zeros((5, 2))), 2)
 
 
 def small_model(task="subtype", k0=4, layers=2, d=6, pooling="gated_attention", **kw):
@@ -477,7 +506,7 @@ class TestTrainableParams:
                              ablate_route=ablate_route, ablate_reducer=ablate_reducer)
             model = MicoModel(cfg, rng=rng)
             out, _ = model.forward(rng.standard_normal((m, 5)))
-            ad.sum_(out).backward()
+            ad.backward(out, np.ones_like(out.data))
             probed = [name for name, p in model.params.items() if p.grad is not None]
             assert list(model.trainable_params()) == probed, (cfg, m)
 

@@ -105,7 +105,7 @@ class TestTrain:
             rng = np.random.default_rng(0)
             model = MicoModel(tiny_config().model_config(6), rng=rng)
             opt = Adam(model.params, lr=1e-3)
-            ad.scale(_pack_loss(model, bag_list)[0], 1.0 / accum).backward()
+            ad.backward(_pack_loss(model, bag_list)[0], 1.0 / accum)
             opt.step()
             return model.state_arrays()
 

@@ -4,6 +4,8 @@ Layout: magic "MICO1", u32 JSON config length + config bytes, u32 parameter
 count, then per parameter: u16 name length + utf-8 name, u8 rank, u64 dims,
 row-major little-endian float64 payload; trailing CRC32. The JSON config is
 serialized with sorted keys so save/load round-trips are bit-exact.
+A survival checkpoint's config also holds its fold's ``bin_edges``, without
+which its hazard columns mean nothing; evaluation ranks by risk and needs none.
 """
 
 from __future__ import annotations

@@ -31,12 +31,20 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error exits 1, not argparse's 2
+        raise ConfigError(message)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            values = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} holds a {type(values).__name__}, not a JSON object")
+    return values
 
 
 def _train_config(args) -> TrainConfig:
@@ -55,9 +63,9 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
-def _add_train_flags(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with TrainConfig fields")
-    p.add_argument("--seed", type=int, required=seed_required)
+    p.add_argument("--seed", type=int, help="required here or in --config")
     p.add_argument("--task", choices=["survival", "subtype"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -74,8 +82,7 @@ def _add_train_flags(p: argparse.ArgumentParser, seed_required: bool = True) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mico",
-                                     description="Context-aware cluster-routing MIL harness")
+    parser = _Parser(prog="mico", description="Context-aware cluster-routing MIL harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic bag dataset")

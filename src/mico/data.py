@@ -147,7 +147,7 @@ def generate(config: SynthConfig) -> list[FeatureBag]:
 #   u16 bag_id length, utf-8 bag_id
 #   u32 M, u32 d
 #   u8 label kind (0 survival, 1 subtype), label payload
-#     survival: f64 time, u8 event, i32 bin
+#     survival: f64 time, u8 event, i32 reserved (written as -1, ignored on read)
 #     subtype:  i32 class index
 #   u8 flags (bit0 coords, bit1 true_type_map)
 #   features (M*d f64 LE), coords (M*2 f64), type map (M i32)
@@ -163,7 +163,7 @@ def write_bag(bag: FeatureBag, path: str) -> None:
     parts = [struct.pack("<H", len(bid)), bid, struct.pack("<II", M, d)]
     if isinstance(bag.label, SurvivalLabel):
         parts.append(struct.pack("<B", _KIND_SURVIVAL))
-        parts.append(struct.pack("<dBi", bag.label.time, int(bag.label.event), bag.label.bin))
+        parts.append(struct.pack("<dBi", bag.label.time, int(bag.label.event), -1))
     elif isinstance(bag.label, SubtypeLabel):
         parts.append(struct.pack("<B", _KIND_SUBTYPE))
         parts.append(struct.pack("<i", bag.label.class_index))
@@ -188,8 +188,8 @@ def read_bag(path: str) -> FeatureBag:
         raise HeaderError(f"{path}: invalid dimensions M={M}, d={d}")
     (kind,) = r.unpack("<B", "label kind")
     if kind == _KIND_SURVIVAL:
-        time, event, bin_ = r.unpack("<dBi", "survival label")
-        label = SurvivalLabel(time=time, event=bool(event), bin=bin_)
+        time, event, _ = r.unpack("<dBi", "survival label")
+        label = SurvivalLabel(time=time, event=bool(event))
     elif kind == _KIND_SUBTYPE:
         (cls,) = r.unpack("<i", "subtype label")
         label = SubtypeLabel(class_index=cls)

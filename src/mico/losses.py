@@ -15,7 +15,6 @@ from .errors import ConfigError, DataError
 class SurvivalLabel:
     time: float
     event: bool
-    bin: int = -1
 
     def __post_init__(self):
         if self.time < 0 or not np.isfinite(self.time):
@@ -38,23 +37,22 @@ def _check_output(out: Tensor, labels: list, n: int, what: str) -> None:
 
 
 def survival_nll(hazard_logits: Tensor, labels: list[SurvivalLabel],
-                 n_bins: int) -> tuple[Tensor, np.ndarray]:
-    """Discrete-time hazard NLL of B bags, from their (B, n_bins) logits.
-
-    Hazards p_b = sigmoid(logit_b), survival S_b = prod_{j<=b} (1 - p_j).
-    Observed event in bin b contributes -log S_{b-1} - log p_b; a censored
-    sample in bin b contributes -log S_b. Returns the summed loss, one tape
-    node, and the (B,) per-bag losses.
+                 edges: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Discrete-time hazard NLL of B bags, from their (B, n_bins) logits, each
+    label's time binned by ``time_to_bin`` on the fold's interior ``edges``
+    (n_bins = len(edges) + 1). Hazards p_b = sigmoid(logit_b), survival
+    S_b = prod_{j<=b} (1 - p_j). Observed event in bin b contributes
+    -log S_{b-1} - log p_b; a censored sample in bin b contributes -log S_b.
+    Returns the summed loss, one tape node, and the (B,) per-bag losses.
     """
+    n_bins = len(edges) + 1
     if n_bins < 2:
         raise ConfigError(f"survival_nll: need at least 2 bins, got {n_bins}")
     _check_output(hazard_logits, labels, n_bins, "survival_nll")
     surv_mask = np.zeros((len(labels), n_bins))
     event_mask = np.zeros((len(labels), n_bins))
     for i, label in enumerate(labels):
-        b = label.bin
-        if not 0 <= b < n_bins:
-            raise ConfigError(f"survival_nll: bin {b} out of range [0, {n_bins})")
+        b = time_to_bin(label.time, edges)
         if label.event:
             surv_mask[i, :b] = 1.0
             event_mask[i, b] = 1.0

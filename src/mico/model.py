@@ -75,7 +75,6 @@ class MicoConfig:
     pooling: str = "gated_attention"  # "gated_attention" | "anchor_mean"
     ablate_route: bool = False
     ablate_reducer: bool = False
-    ablate_kmeans_init: bool = False
 
     def __post_init__(self):
         if self.mlp_hidden is None:
@@ -111,8 +110,8 @@ class MicoConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MicoConfig":
-        """Build a config from a dict that may carry extra keys (a checkpoint's
-        fold, best epoch and bin edges), which are ignored."""
+        """Build a config from the dict's fields; other keys (a checkpoint's
+        fold and bin edges, training-only or retired fields) are ignored."""
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 

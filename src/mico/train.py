@@ -32,7 +32,6 @@ from .losses import (
     quantile_bin_edges,
     risk_score,
     survival_nll,
-    time_to_bin,
 )
 from .metrics import c_index, classification_metrics
 from .model import MicoConfig, MicoModel, check_int_fields, random_anchor_init
@@ -80,12 +79,8 @@ class TrainConfig:
         self.model_config(1)
 
     def model_config(self, d: int) -> MicoConfig:
-        return MicoConfig(
-            d=d, anchors=self.anchor_count, layers=self.layers,
-            mlp_hidden=self.mlp_hidden, task=self.task,
-            survival_bins=self.survival_bins, subtype_classes=self.subtype_classes,
-            pooling=self.pooling, ablate_route=self.ablate_route,
-            ablate_reducer=self.ablate_reducer, ablate_kmeans_init=self.ablate_kmeans_init)
+        # the fields MicoConfig shares by name; training-only ones are dropped
+        return MicoConfig.from_dict(dict(asdict(self), d=d, anchors=self.anchor_count))
 
 
 class EarlyStopper:
@@ -152,6 +147,14 @@ def _metric_names(task: str) -> list[str]:
     return ["c_index"] if task == "survival" else ["acc", "f1", "auc"]
 
 
+def _check_feature_dim(bags: list[FeatureBag], d: int, source: str) -> None:
+    """Raise DataError naming the first bag whose dim is not ``source``'s ``d``."""
+    for bag in bags:
+        if bag.features.shape[1] != d:
+            raise DataError(
+                f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, but {source} has dim {d}")
+
+
 def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> None:
     want = SurvivalLabel if task == "survival" else SubtypeLabel
     for bag in bags:
@@ -165,20 +168,20 @@ def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> Non
                 f"but the task has {n_classes} classes")
 
 
-def _pack_loss(model: MicoModel, bags: list[FeatureBag],
+def _pack_loss(model: MicoModel, bags: list[FeatureBag], edges: np.ndarray | None,
                assign_mode: str = "hard") -> tuple[Tensor, np.ndarray]:
     """The summed task loss of a pack of bags, from one packed forward, and
-    the (B,) per-bag losses."""
+    the (B,) per-bag losses; survival bins times on the fold's ``edges``."""
     out, _ = model.forward([b.features for b in bags], assign_mode=assign_mode)
     cfg = model.config
     labels = [b.label for b in bags]
     if cfg.task == "survival":
-        return survival_nll(out, labels, cfg.survival_bins)
+        return survival_nll(out, labels, edges)
     return cross_entropy(out, labels, cfg.subtype_classes)
 
 
 def _divergence(exc: NumericalError, model: MicoModel, pack: list[FeatureBag],
-                fold_index: int, epoch: int) -> NumericalError:
+                edges: np.ndarray | None, fold_index: int, epoch: int) -> NumericalError:
     """The error for a pack whose loss is not finite. It names the pack's
     first bag whose own loss is not finite (or cannot be computed), found by
     scoring each bag alone, and the first trainable parameter holding a
@@ -187,7 +190,7 @@ def _divergence(exc: NumericalError, model: MicoModel, pack: list[FeatureBag],
     for bag in pack:
         try:
             with ad.no_grad():
-                finite = np.isfinite(_pack_loss(model, [bag])[0].data)
+                finite = np.isfinite(_pack_loss(model, [bag], edges)[0].data)
         except NumericalError:
             finite = False
         if not finite:
@@ -249,11 +252,6 @@ def _val_score(metrics: dict, task: str) -> float:
     return metrics["c_index"] if task == "survival" else metrics["auc"]
 
 
-def _assign_bins(bags: list[FeatureBag], edges: np.ndarray) -> None:
-    for bag in bags:
-        bag.label.bin = time_to_bin(bag.label.time, edges)
-
-
 def _init_anchors(config: TrainConfig, train_bags: list[FeatureBag],
                   pool_seed: int, init_rng: np.random.Generator) -> tuple[np.ndarray, str]:
     pool = kmeans.subsample_pool(train_bags, config.kmeans_pool_cap, seed=pool_seed)
@@ -277,7 +275,6 @@ def train_fold(config: TrainConfig, fold_index: int,
     edges = None
     if config.task == "survival":
         edges = quantile_bin_edges([b.label.time for b in train_bags], config.survival_bins)
-        _assign_bins(train_bags + val_bags + test_bags, edges)
 
     anchors, init_kind = _init_anchors(config, train_bags, int(seeds[2]), init_rng)
     model = MicoModel(config.model_config(d), rng=init_rng, anchor_init=anchors)
@@ -304,11 +301,11 @@ def train_fold(config: TrainConfig, fold_index: int,
                 # error; NumPy's overflow warnings on the way would be noise
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     try:
-                        loss, per_bag = _pack_loss(model, pack)
+                        loss, per_bag = _pack_loss(model, pack, edges)
                         if not np.isfinite(loss.data):
                             raise NumericalError("NaN/Inf loss")
                     except NumericalError as exc:
-                        raise _divergence(exc, model, pack, fold_index, epoch) from exc
+                        raise _divergence(exc, model, pack, edges, fold_index, epoch) from exc
                     losses.extend(per_bag.tolist())
                     # seeding the summed loss with 1/grad_accum makes one
                     # accumulated step match an averaged batch of grad_accum bags
@@ -354,6 +351,7 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     by_id = {b.bag_id: b for b in bags}
     ids = sorted(by_id)
     folds = make_folds(ids, n_folds=config.n_folds, seed=config.seed)
+    _check_feature_dim(bags, bags[0].features.shape[1], f"the first bag {bags[0].bag_id!r}")
     root_ss = np.random.SeedSequence(config.seed)
     fold_seeds = root_ss.spawn(config.n_folds)
 
@@ -390,10 +388,10 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     return report
 
 
-def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> tuple[dict, MicoModel]:
-    """Load a checkpoint into a model that accepts ``bags``; returns the
-    checkpoint's config dict too. A checkpoint whose CRC holds but whose
-    config or parameters do not fit together raises HeaderError."""
+def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> MicoModel:
+    """Load a checkpoint into a model that accepts ``bags``. A checkpoint
+    whose CRC holds but whose config or parameters do not fit together
+    raises HeaderError."""
     cfg_dict, state = load_checkpoint(path)
     try:
         # a missing field raises TypeError
@@ -401,23 +399,12 @@ def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> tuple[dict, Mic
         model.load_state_arrays(state)
     except (TypeError, ConfigError) as exc:
         raise HeaderError(f"{path}: malformed checkpoint: {exc}") from exc
-    d = model.config.d
-    for bag in bags:
-        if bag.features.shape[1] != d:
-            raise DataError(
-                f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, checkpoint expects {d}")
-    return cfg_dict, model
+    _check_feature_dim(bags, model.config.d, "checkpoint")
+    return model
 
 
 def evaluate_checkpoint(path: str, bags: list[FeatureBag]) -> dict:
-    cfg_dict, model = _model_from_checkpoint(path, bags)
-    cfg = model.config
-    _check_task_labels(bags, cfg.task, cfg.subtype_classes)
-    if cfg.task == "survival":
-        edges = np.array(cfg_dict.get("bin_edges", []), dtype=np.float64)
-        if edges.size:
-            _assign_bins(bags, edges)
-    return evaluate_model(model, bags)
+    return evaluate_model(_model_from_checkpoint(path, bags), bags)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +443,8 @@ def sweep_anchors(config: TrainConfig, bags: list[FeatureBag],
                   counts=(32, 64, 128), out_dir: str | None = None) -> dict[int, RunReport]:
     """One full run per anchor count over shared folds and seeds."""
     configs = {c: _with_overrides(config, anchor_count=c) for c in counts}
+    if not configs or len(configs) != len(counts):
+        raise ConfigError(f"anchor counts must be distinct and at least one, got {list(counts)}")
     for cfg in configs.values():
         cfg.validate()
     reports = {}
@@ -494,7 +483,7 @@ def comparison_table(reports: dict[str, RunReport], task: str) -> str:
 
 def export_assignments(ckpt_path: str, bag: FeatureBag) -> str:
     """Per-instance anchor assignment at every layer, as a text table."""
-    _, model = _model_from_checkpoint(ckpt_path, [bag])
+    model = _model_from_checkpoint(ckpt_path, [bag])
     with ad.no_grad():
         _, assignments = model.forward(bag.features)
 
@@ -552,17 +541,18 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
                      survival_bins=4, subtype_classes=2)
     model = MicoModel(cfg, rng=rng)
     bags = []
+    edges = np.array([1.0, 2.0, 3.0])   # bag i's time falls in bin (1 + i) % 4
     for i in range(pack):
         features = rng.standard_normal((max(1, m_instances >> i), d))
-        label = (SurvivalLabel(time=1.0, event=i % 2 == 0, bin=(1 + i) % 4)
+        label = (SurvivalLabel(time=(1 + i) % 4 + 0.5, event=i % 2 == 0)
                  if task == "survival" else SubtypeLabel(class_index=(1 + i) % 2))
         bags.append(FeatureBag(bag_id=f"gradcheck{i}", features=features, label=label))
 
     def loss_value() -> float:
-        return float(_pack_loss(model, bags, assign_mode="soft")[0].data)
+        return float(_pack_loss(model, bags, edges, assign_mode="soft")[0].data)
 
     zero_grad(model.params.values())
-    _pack_loss(model, bags, assign_mode="soft")[0].backward()
+    _pack_loss(model, bags, edges, assign_mode="soft")[0].backward()
 
     # no ablation and gated-attention pooling: every parameter has a gradient
     errors = {}

@@ -223,7 +223,7 @@ def test_09_protocol_fidelity():
         model = MicoModel(MicoConfig(d=6, anchors=4, layers=2, task="subtype"),
                           rng=np.random.default_rng(0))
         opt = Adam(model.params, lr=1e-3)
-        ad.backward(_pack_loss(model, bag_list)[0], 1.0 / accum)
+        ad.backward(_pack_loss(model, bag_list, None)[0], 1.0 / accum)
         opt.step()
         return model.state_arrays()
 

@@ -9,7 +9,7 @@ import pytest
 
 from mico.checkpoint import save_checkpoint
 from mico.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
-from mico.data import read_bag, write_bag
+from mico.data import FeatureBag, read_bag, write_bag
 from mico.losses import SubtypeLabel
 from mico.model import MicoConfig, MicoModel
 
@@ -110,6 +110,16 @@ class TestExitCodes:
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data_dir]) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    def test_checkpoint_with_a_retired_config_field_still_loads(self, tmp_path, capsys):
+        # MicoConfig held ablate_kmeans_init until the model stopped reading it
+        data_dir = make_dataset(tmp_path)
+        capsys.readouterr()
+        cfg = dict(MicoConfig(d=6, anchors=4, layers=2, task="subtype").to_dict(),
+                   ablate_kmeans_init=True)
+        assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path, config=cfg),
+                     "--data", data_dir]) == EXIT_OK
+        assert set(json.loads(capsys.readouterr().out)) == {"acc", "f1", "auc"}
+
     def test_export_to_missing_dir_returns_data_error(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path)
         out = str(tmp_path / "missing" / "a.txt")
@@ -137,6 +147,16 @@ class TestExitCodes:
         relabel_bag(data_dir, "bag0005.mbag", 2)
         assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path),
                      "--data", data_dir]) == EXIT_DATA
+
+    def test_mixed_feature_dims_in_train_returns_data_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path)
+        path = os.path.join(data_dir, "bag0007.mbag")
+        bag = read_bag(path)
+        write_bag(FeatureBag(bag_id=bag.bag_id, features=np.ones((5, 4)), label=bag.label), path)
+        assert main(["train", "--data", data_dir,
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: bag 'bag0007' has dim 4, but the first bag 'bag0000' has dim 6\n")
 
     def test_diverging_run_returns_numerical_error(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path)
@@ -221,6 +241,44 @@ class TestExitCodes:
         assert main(args + TRAIN_FLAGS + ["--anchor-count", "6"]) == EXIT_CONFIG
         assert "anchor count 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["train", "--data", "d", "--out", "o"], "--seed is required"),
+        (["train", "--data", "d", "--out", "o", "--seed", "1", "--task", "x"], "--task"),
+        (["train", "--data", "d", "--out", "o", "--seed", "1", "--epochs", "1.5"], "--epochs"),
+        (["bogus"], "'bogus'"),
+    ], ids=["missing-seed", "bad-task", "float-epochs", "unknown-command"])
+    def test_usage_error_returns_config_error(self, tmp_path, capsys, args, message):
+        # the data path does not exist: usage is checked before any read
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_OK
+        assert "usage: mico" in capsys.readouterr().out
+
+    def test_seed_from_config_file(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"seed": 3, "task": "subtype", "epochs": 1,
+                                        "anchor_count": 4, "layers": 2, "n_folds": 1}))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--data", data_dir, "--out", str(out_dir),
+                     "--config", str(cfg_path)]) == EXIT_OK
+        assert json.loads((out_dir / "report.json").read_text())["config"]["seed"] == 3
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", "null", '"seed"'])
+    def test_config_file_not_an_object_returns_config_error(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(content)
+        assert main(["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg_path), "--seed", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "JSON object" in err
+
     def test_task_mismatch_returns_config_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         args = ["train", "--data", data_dir, "--out", str(tmp_path / "out"),
@@ -292,6 +350,21 @@ class TestFullFlow:
         assert main(args) == EXIT_OK
         out = capsys.readouterr().out
         assert "4 anchors" in out and "8 anchors" in out
+
+    @pytest.mark.parametrize("counts", [",", "4,4"])
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_sweep_empty_or_repeated_counts_returns_config_error(self, tmp_path, capsys,
+                                                                 counts, out_exists):
+        data_dir = make_dataset(tmp_path)
+        out = tmp_path / "sweep"
+        if out_exists:
+            out.mkdir()
+        args = ["sweep-anchors", "--data", data_dir, "--out", str(out), "--counts", counts,
+                "--seed", "3", "--task", "subtype", "--layers", "2"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "distinct" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_sweep_bad_counts_returns_config_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mico import data as md
+from mico import framing
 from mico.data import (
     FeatureBag,
     SynthConfig,
@@ -125,11 +128,21 @@ class TestBagIo:
         assert np.array_equal(got.features, bag.features)
         assert np.array_equal(got.coords, bag.coords)
         assert np.array_equal(got.true_type_map, bag.true_type_map)
-        if task == "survival":
-            assert (got.label.time, got.label.event, got.label.bin) == \
-                   (bag.label.time, bag.label.event, bag.label.bin)
-        else:
-            assert got.label.class_index == bag.label.class_index
+        assert got.label == bag.label
+
+    @pytest.mark.parametrize("reserved", [-1, 0, 3, 2 ** 31 - 1, -2 ** 31])
+    def test_survival_reserved_field_is_written_as_minus_one_and_ignored(
+            self, tmp_path, reserved):
+        bag = self._bag()
+        p = tmp_path / "r.mbag"
+        write_bag(bag, str(p))
+        raw = p.read_bytes()
+        # magic, u16 id length + id, u32 M + u32 d, u8 kind, f64 time, u8 event
+        at = len(md.MAGIC) + 2 + len(bag.bag_id) + 8 + 1 + 8 + 1
+        assert struct.unpack_from("<i", raw, at) == (-1,)
+        body = raw[len(md.MAGIC):at] + struct.pack("<i", reserved) + raw[at + 4:-4]
+        framing.write_framed(str(p), md.MAGIC, body)
+        assert read_bag(str(p)).label == bag.label
 
     def test_bad_magic_raises_header_error(self, tmp_path):
         p = tmp_path / "bad.mbag"

@@ -19,24 +19,27 @@ from mico.losses import (
 from mico.metrics import binary_auc, c_index, classification_metrics
 from test_autodiff import fd_grad, max_rel_err
 
+# four bins: a time of b + 0.5 falls in bin b
+EDGES = np.array([1.0, 2.0, 3.0])
+
 
 class TestSurvivalNll:
     def test_event_in_first_bin_is_neg_log_hazard(self):
         logits = np.array([0.4, -1.0, 2.0, 0.0])
-        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(1.0, True, bin=0)], 4)
+        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(0.5, True)], EDGES)
         p0 = 1.0 / (1.0 + math.exp(-0.4))
         assert float(loss.data) == pytest.approx(-math.log(p0), abs=1e-12)
 
     def test_censored_last_bin_all_half_hazards(self):
         # censored in bin 3 with every hazard 0.5: -sum of four log(0.5)
-        loss, _ = survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(9.0, False, bin=3)], 4)
+        loss, _ = survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(9.0, False)], EDGES)
         assert float(loss.data) == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
     def test_event_middle_bin_hand_formula(self):
         logits = np.array([0.3, -0.7, 1.1])
         p = 1.0 / (1.0 + np.exp(-logits))
         expected = -(math.log(1 - p[0]) + math.log(1 - p[1]) + math.log(p[2]))
-        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(5.0, True, bin=2)], 3)
+        loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(2.5, True)], EDGES[:2])
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
     def test_survival_curve_monotone_non_increasing(self):
@@ -50,18 +53,18 @@ class TestSurvivalNll:
         assert risk_score(logits) == pytest.approx(1.0 - survival_curve(logits)[-1])
 
     @pytest.mark.parametrize("label", [
-        SurvivalLabel(2.0, True, bin=1),
-        SurvivalLabel(2.0, False, bin=2),
+        SurvivalLabel(1.5, True),
+        SurvivalLabel(2.5, False),
     ])
     def test_gradient_matches_finite_differences(self, label):
         rng = np.random.default_rng(1)
         za = rng.standard_normal((1, 4))
 
         def loss_val():
-            return float(survival_nll(Tensor(za), [label], 4)[0].data)
+            return float(survival_nll(Tensor(za), [label], EDGES)[0].data)
 
         z = Tensor(za, requires_grad=True)
-        survival_nll(z, [label], 4)[0].backward()
+        survival_nll(z, [label], EDGES)[0].backward()
         assert max_rel_err(z.grad, fd_grad(loss_val, za)) < 1e-6
 
     def test_batch_sums_per_bag_losses(self):
@@ -69,31 +72,37 @@ class TestSurvivalNll:
         # its value their sum, and its gradient matches finite differences
         rng = np.random.default_rng(3)
         za = 3.0 * rng.standard_normal((5, 4))
-        labels = [SurvivalLabel(1.0, i % 2 == 0, bin=(3 * i) % 4) for i in range(5)]
-        loss, per_bag = survival_nll(Tensor(za), labels, 4)
-        single = [float(survival_nll(Tensor(za[i:i + 1]), [lab], 4)[0].data)
+        labels = [SurvivalLabel((3 * i) % 4 + 0.5, i % 2 == 0) for i in range(5)]
+        loss, per_bag = survival_nll(Tensor(za), labels, EDGES)
+        single = [float(survival_nll(Tensor(za[i:i + 1]), [lab], EDGES)[0].data)
                   for i, lab in enumerate(labels)]
         assert np.array_equal(per_bag, single)
         assert float(loss.data) == pytest.approx(sum(single), abs=1e-12)
         z = Tensor(za, requires_grad=True)
-        survival_nll(z, labels, 4)[0].backward()
-        numeric = fd_grad(lambda: float(survival_nll(Tensor(za), labels, 4)[0].data), za)
+        survival_nll(z, labels, EDGES)[0].backward()
+        numeric = fd_grad(lambda: float(survival_nll(Tensor(za), labels, EDGES)[0].data), za)
         assert max_rel_err(z.grad, numeric) < 1e-6
 
     def test_output_shape_must_match_labels(self):
-        labels = [SurvivalLabel(1.0, True, bin=0)] * 2
+        labels = [SurvivalLabel(0.5, True)] * 2
         with pytest.raises(ConfigError, match="2 rows of 4"):
-            survival_nll(Tensor(np.zeros((1, 4))), labels, 4)
+            survival_nll(Tensor(np.zeros((1, 4))), labels, EDGES)
         with pytest.raises(ConfigError):
-            survival_nll(Tensor(np.zeros(8)), labels, 4)
+            survival_nll(Tensor(np.zeros(8)), labels, EDGES)
 
-    def test_bin_out_of_range(self):
-        with pytest.raises(ConfigError):
-            survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(1.0, True, bin=4)], 4)
+    def test_one_bin_rejected(self):
+        with pytest.raises(ConfigError, match="at least 2 bins"):
+            survival_nll(Tensor(np.zeros((1, 1))), [SurvivalLabel(0.5, True)], [])
 
-    def test_unset_bin_rejected(self):
-        with pytest.raises(ConfigError):
-            survival_nll(Tensor(np.zeros((1, 4))), [SurvivalLabel(1.0, True)], 4)
+    def test_time_on_an_edge_falls_in_the_upper_bin(self):
+        # bins are right-closed at their edges, as in time_to_bin
+        logits = np.array([0.3, -0.7, 1.1, 0.2])
+        p = 1.0 / (1.0 + np.exp(-logits))
+        event_in_2 = -(math.log(1 - p[0]) + math.log(1 - p[1]) + math.log(p[2]))
+        censored_in_2 = -(math.log(1 - p[0]) + math.log(1 - p[1]) + math.log(1 - p[2]))
+        for event, expected in ((True, event_in_2), (False, censored_in_2)):
+            loss, _ = survival_nll(Tensor(logits[None]), [SurvivalLabel(2.0, event)], EDGES)
+            assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):

@@ -24,8 +24,12 @@ train_mod = importlib.import_module("mico.train")
 
 CONFIGS = list(itertools.product(
     ("survival", "subtype"), ("gated_attention", "anchor_mean"),
-    (False, True), (False, True), (False, True), (1, 2, 3)))
+    (False, True), (False, True), (1, 2, 3)))
 CONFIG_IDS = ["-".join(str(v) for v in c) for c in CONFIGS]
+
+
+# survival bin edges: a time of b + 0.5 falls in bin b of 4
+EDGES = np.array([1.0, 2.0, 3.0])
 
 
 def rel_dev(a, b):
@@ -35,18 +39,16 @@ def rel_dev(a, b):
 def make_bags(rng, task, sizes, d):
     bags = []
     for i, m in enumerate(sizes):
-        label = (SurvivalLabel(time=1.0 + i, event=i % 2 == 0, bin=i % 4)
+        label = (SurvivalLabel(time=i % 4 + 0.5, event=i % 2 == 0)
                  if task == "survival" else SubtypeLabel(class_index=i % 2))
         bags.append(FeatureBag(bag_id=f"b{i}", features=rng.standard_normal((m, d)),
                                label=label))
     return bags
 
 
-def make_model(task, pooling, ablate_route, ablate_reducer, ablate_kmeans_init, layers,
-               d=4, seed=0):
+def make_model(task, pooling, ablate_route, ablate_reducer, layers, d=4, seed=0):
     cfg = MicoConfig(d=d, anchors=8, layers=layers, task=task, pooling=pooling,
-                     ablate_route=ablate_route, ablate_reducer=ablate_reducer,
-                     ablate_kmeans_init=ablate_kmeans_init)
+                     ablate_route=ablate_route, ablate_reducer=ablate_reducer)
     return MicoModel(cfg, rng=np.random.default_rng(seed))
 
 
@@ -65,10 +67,10 @@ def test_pack_logits_and_gradients_match_per_bag(config):
     params = model.trainable_params()
     ad.zero_grad(model.params.values())
     for bag in bags:
-        _pack_loss(model, [bag])[0].backward()
+        _pack_loss(model, [bag], EDGES)[0].backward()
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags)[0].backward()
+    _pack_loss(model, bags, EDGES)[0].backward()
     for name, p in params.items():
         assert rel_dev(p.grad, expected[name]) <= 1e-12, name
 
@@ -81,7 +83,7 @@ def test_finite_differences_through_segment_ops(task):
 
 
 def test_pack_assignments_follow_packed_rows():
-    model = make_model("subtype", "gated_attention", False, False, False, 2, d=6)
+    model = make_model("subtype", "gated_attention", False, False, 2, d=6)
     rng = np.random.default_rng(2)
     bags = [rng.standard_normal((m, 6)) for m in (4, 1, 9)]
     _, packed = model.forward(bags)
@@ -110,7 +112,7 @@ def test_empty_anchor_carries_each_bags_previous_value():
 
 
 def test_forward_rejects_a_bad_bag_in_a_pack():
-    model = make_model("subtype", "gated_attention", False, False, False, 2)
+    model = make_model("subtype", "gated_attention", False, False, 2)
     rng = np.random.default_rng(3)
     with pytest.raises(DataError):
         model.forward([rng.standard_normal((3, 4)), np.zeros((0, 4))])
@@ -133,7 +135,7 @@ class TestNoGrad:
         assert np.array_equal(x.grad, np.full((2, 2), 4.0))
 
     def test_forward_matches_the_recorded_forward(self):
-        model = make_model("survival", "gated_attention", False, False, False, 2)
+        model = make_model("survival", "gated_attention", False, False, 2)
         X = np.random.default_rng(4).standard_normal((6, 4))
         recorded, _ = model.forward(X)
         with ad.no_grad():
@@ -142,16 +144,16 @@ class TestNoGrad:
 
 
 def test_assignment_records_survive_later_forward_and_step():
-    model = make_model("subtype", "gated_attention", False, False, False, 2, d=6)
+    model = make_model("subtype", "gated_attention", False, False, 2, d=6)
     rng = np.random.default_rng(5)
     bag = make_bags(rng, "subtype", [8], d=6)[0]
     _, records = model.forward(bag.features)
     snapshot = [{k: np.copy(v) for k, v in vars(r).items()} for r in records]
     opt = Adam(model.trainable_params(), lr=0.1)
-    _pack_loss(model, [bag])[0].backward()
+    _pack_loss(model, [bag], EDGES)[0].backward()
     opt.step()
     model.forward(make_bags(rng, "subtype", [5], d=6)[0].features)
-    _pack_loss(model, [bag])[0].backward()
+    _pack_loss(model, [bag], EDGES)[0].backward()
     opt.step()
     for rec, snap in zip(records, snapshot):
         for key, value in vars(rec).items():
@@ -161,7 +163,7 @@ def test_assignment_records_survive_later_forward_and_step():
 class TestEvaluatePacks:
     @pytest.mark.parametrize("task", ["survival", "subtype"])
     def test_pack_budget_does_not_change_metrics(self, task, monkeypatch):
-        model = make_model(task, "gated_attention", False, False, False, 2)
+        model = make_model(task, "gated_attention", False, False, 2)
         rng = np.random.default_rng(6)
         bags = make_bags(rng, task, rng.integers(1, 20, size=30), d=4)
         for bag in bags:
@@ -182,7 +184,7 @@ class TestEvaluatePacks:
         assert packs == [["b0", "b1", "b2"], ["b3"], ["b4", "b5"]]
 
     def test_one_forward_per_pack(self, monkeypatch):
-        model = make_model("subtype", "gated_attention", False, False, False, 2)
+        model = make_model("subtype", "gated_attention", False, False, 2)
         rng = np.random.default_rng(8)
         bags = make_bags(rng, "subtype", [5] * 10, d=4)
         calls = []

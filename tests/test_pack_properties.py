@@ -56,15 +56,17 @@ def test_packed_group_gradient_equals_sum_of_per_bag_gradients(case):
     model, arrays = case
     cfg = model.config
     bags = [FeatureBag(bag_id=f"b{i}", features=X,
-                       label=(SurvivalLabel(time=1.0, event=i % 2 == 0, bin=i % cfg.survival_bins)
+                       label=(SurvivalLabel(time=i % cfg.survival_bins + 0.5, event=i % 2 == 0)
                               if cfg.task == "survival" else SubtypeLabel(i % cfg.subtype_classes)))
             for i, X in enumerate(arrays)]
+    # a time of b + 0.5 falls in bin b
+    edges = np.arange(1.0, cfg.survival_bins)
     params = model.trainable_params()
     for bag in bags:
-        _pack_loss(model, [bag])[0].backward()
+        _pack_loss(model, [bag], edges)[0].backward()
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags)[0].backward()
+    _pack_loss(model, bags, edges)[0].backward()
     for name, p in params.items():
         assert close(p.grad, expected[name]), name
     ad.zero_grad(model.params.values())

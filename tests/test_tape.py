@@ -22,6 +22,9 @@ from mico.losses import SubtypeLabel, SurvivalLabel
 from mico.model import MicoConfig, MicoModel
 from mico.train import TrainConfig, _pack_loss, train
 
+# survival bin edges: a time of b + 0.5 falls in bin b of 4
+EDGES = np.array([1.0, 2.0, 3.0])
+
 
 @contextlib.contextmanager
 def no_cycle_collector():
@@ -118,8 +121,8 @@ def _anchor_mean_packed(rng):
 
 def _survival(rng):
     z = leaf(rng, 3, 4)
-    labels = [SurvivalLabel(time=1.0, event=i != 1, bin=i) for i in range(3)]
-    return losses_mod.survival_nll(z, labels, 4)[0], [z]
+    labels = [SurvivalLabel(time=i + 0.5, event=i != 1) for i in range(3)]
+    return losses_mod.survival_nll(z, labels, EDGES)[0], [z]
 
 
 def _cross_entropy(rng):
@@ -215,7 +218,7 @@ def test_backward_spends_the_tape_and_keeps_leaf_grads(name):
 def _model_and_bag(task):
     rng = np.random.default_rng(5)
     model = MicoModel(MicoConfig(d=6, anchors=8, layers=2, task=task), rng=rng)
-    label = (SurvivalLabel(time=1.0, event=True, bin=1) if task == "survival"
+    label = (SurvivalLabel(time=1.5, event=True) if task == "survival"
              else SubtypeLabel(class_index=1))
     return model, FeatureBag(bag_id="b", features=rng.standard_normal((9, 6)), label=label)
 
@@ -236,12 +239,12 @@ def test_forward_without_backward_frees_the_tape(task, mode):
 @pytest.mark.parametrize("task", ["survival", "subtype"])
 def test_backward_frees_intermediates_while_loss_lives(task, mode):
     model, bag = _model_and_bag(task)
-    _pack_loss(model, [bag], assign_mode=mode)[0].backward()
+    _pack_loss(model, [bag], EDGES, assign_mode=mode)[0].backward()
     expected = {name: p.grad for name, p in model.params.items()}
     ad.zero_grad(model.params.values())
 
     with no_cycle_collector():
-        loss = _pack_loss(model, [bag], assign_mode=mode)[0]
+        loss = _pack_loss(model, [bag], EDGES, assign_mode=mode)[0]
         refs = _op_output_refs(loss)[1:]
         loss.backward()
         assert [r for r in refs if r() is not None] == []

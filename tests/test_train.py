@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import os
 
@@ -23,6 +24,10 @@ from mico.train import (
     train,
     train_fold,
 )
+
+
+# the module, not the ``mico.train`` function the package exports
+train_mod = importlib.import_module("mico.train")
 
 
 def small_bags(task="subtype", n=24, seed=0, **kw):
@@ -105,7 +110,7 @@ class TestTrain:
             rng = np.random.default_rng(0)
             model = MicoModel(tiny_config().model_config(6), rng=rng)
             opt = Adam(model.params, lr=1e-3)
-            ad.backward(_pack_loss(model, bag_list)[0], 1.0 / accum)
+            ad.backward(_pack_loss(model, bag_list, None)[0], 1.0 / accum)
             opt.step()
             return model.state_arrays()
 
@@ -163,6 +168,24 @@ class TestTrain:
     def test_task_label_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             train(tiny_config(task="survival"), small_bags(task="subtype"))
+
+    def test_mixed_feature_dims_rejected_before_fold_0(self, monkeypatch):
+        bags = small_bags(n=16)
+        bags[9].features = bags[9].features[:, :4]
+        monkeypatch.setattr(train_mod, "train_fold", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(DataError, match=r"^bag 'bag0009' has dim 4, but the first "
+                                            r"bag 'bag0000' has dim 6$"):
+            train(tiny_config(), bags)
+
+    def test_train_and_evaluate_leave_the_bags_unchanged(self, tmp_path):
+        bags = small_bags(task="survival")
+        before = copy.deepcopy(bags)
+        out = str(tmp_path / "run")
+        train(tiny_config(task="survival", n_folds=2), bags, out_dir=out)
+        evaluate_checkpoint(os.path.join(out, "fold0.mico"), bags)
+        for bag, old in zip(bags, before):
+            for key, value in vars(bag).items():
+                assert np.array_equal(value, vars(old)[key]), (bag.bag_id, key)
 
 
 class TestArtifacts:
@@ -248,6 +271,12 @@ class TestAblateAndSweep:
             rows = f.read().strip().split("\n")
         assert rows[0].startswith("anchors,")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("counts", [(), (4, 8, 4)])
+    def test_sweep_rejects_empty_or_repeated_counts(self, counts, monkeypatch):
+        monkeypatch.setattr(train_mod, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="distinct"):
+            sweep_anchors(tiny_config(layers=2), small_bags(), counts=counts)
 
     def test_sweep_rejects_indivisible_count(self):
         with pytest.raises(ConfigError):

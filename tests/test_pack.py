@@ -24,7 +24,7 @@ train_mod = importlib.import_module("mico.train")
 
 CONFIGS = list(itertools.product(
     ("survival", "subtype"), ("gated_attention", "anchor_mean"),
-    (False, True), (False, True), (1, 2, 3)))
+    (False, True), (False, True), ("hard", "soft"), (1, 2, 3)))
 CONFIG_IDS = ["-".join(str(v) for v in c) for c in CONFIGS]
 
 
@@ -54,12 +54,14 @@ def make_model(task, pooling, ablate_route, ablate_reducer, layers, d=4, seed=0)
 
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 def test_pack_logits_and_gradients_match_per_bag(config):
-    model = make_model(*config)
+    # the soft assignment is the smooth map the finite-difference suite checks
+    task, pooling, ablate_route, ablate_reducer, mode, layers = config
+    model = make_model(task, pooling, ablate_route, ablate_reducer, layers)
     rng = np.random.default_rng(1)
-    bags = make_bags(rng, config[0], [5, 1, 7, 3, 2], d=4)
-    single = np.concatenate([model.forward(b.features)[0].data for b in bags])
+    bags = make_bags(rng, task, [5, 1, 7, 3, 2], d=4)
+    single = np.concatenate([model.forward(b.features, mode)[0].data for b in bags])
     for B in range(1, 6):
-        packed, _ = model.forward([b.features for b in bags[:B]])
+        packed, _ = model.forward([b.features for b in bags[:B]], mode)
         assert packed.data.shape == (B, model.config.head_size)
         assert rel_dev(packed.data, single[:B]) <= 1e-12, B
 
@@ -67,10 +69,10 @@ def test_pack_logits_and_gradients_match_per_bag(config):
     params = model.trainable_params()
     ad.zero_grad(model.params.values())
     for bag in bags:
-        _pack_loss(model, [bag], EDGES)[0].backward()
+        _pack_loss(model, [bag], EDGES, mode)[0].backward()
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags, EDGES)[0].backward()
+    _pack_loss(model, bags, EDGES, mode)[0].backward()
     for name, p in params.items():
         assert rel_dev(p.grad, expected[name]) <= 1e-12, name
 

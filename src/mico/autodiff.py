@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import weakref
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -91,7 +90,8 @@ class Segments:
     Bag b owns rows ``offsets[b]:offsets[b + 1]`` of a packed (sum of M, p)
     matrix, and the b-th of B equal row blocks of a stacked per-bag matrix
     (for example B blocks of K anchors, (B*K, d)). The methods work on plain
-    arrays; a pack of one takes the plain NumPy path.
+    arrays, from the offsets alone: the matmuls make one NumPy call per bag,
+    the call a lone bag makes, and write it into its rows of the result.
     """
 
     def __init__(self, sizes):
@@ -101,25 +101,8 @@ class Segments:
         self.count = int(self.sizes.size)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         self.rows = int(self.offsets[-1])
-        self._width = int(self.sizes.max())
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The bag of every packed row."""
-        return np.repeat(np.arange(self.count), self.sizes)
-
-    @cached_property
-    def _slots(self) -> np.ndarray:
-        # each packed row's place in a (B, largest M) zero-padded layout
-        return self.ids * self._width + np.arange(self.rows) - self.offsets[:-1][self.ids]
-
-    def _pad(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.count * self._width, x.shape[1]))
-        out[self._slots] = x
-        return out.reshape(self.count, self._width, x.shape[1])
-
-    def _unpad(self, y: np.ndarray) -> np.ndarray:
-        return y.reshape(-1, y.shape[2])[self._slots]
+        # each bag's (start, stop) rows, as Python ints for slicing
+        self._spans = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
 
     def _blocks(self, y: np.ndarray) -> np.ndarray:
         """A stacked (B*p, q) matrix as its (B, p, q) blocks."""
@@ -133,33 +116,34 @@ class Segments:
         yb = self._blocks(y)
         if trans_y:
             yb = yb.transpose(0, 2, 1)
-        if self.count == 1:
-            return x @ yb[0]
-        return self._unpad(self._pad(x) @ yb)
+        out = np.empty((x.shape[0], yb.shape[2]))
+        for b, (lo, hi) in enumerate(self._spans):
+            np.matmul(x[lo:hi], yb[b], out=out[lo:hi])
+        return out
 
     def outer(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Block b is x_b.T @ y_b: (N, p) and (N, q) give (B*p, q)."""
-        if self.count == 1:
-            return x.T @ y
-        z = self._pad(x).transpose(0, 2, 1) @ self._pad(y)
-        return z.reshape(-1, z.shape[2])
+        p = x.shape[1]
+        out = np.empty((self.count * p, y.shape[1]))
+        for b, (lo, hi) in enumerate(self._spans):
+            np.matmul(x[lo:hi].T, y[lo:hi], out=out[b * p:(b + 1) * p])
+        return out
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-bag sums over rows: (N, ...) gives (B, ...)."""
+        # reduceat adds a single segment in another order than ``sum``, so a
+        # pack of one keeps ``sum`` and stays bit-identical to a lone bag
         if self.count == 1:
             return x.sum(axis=0, keepdims=True)
         return np.add.reduceat(x, self.offsets[:-1], axis=0)
 
     def max(self, x: np.ndarray) -> np.ndarray:
         """Per-bag maxima over rows: (N, ...) gives (B, ...)."""
-        if self.count == 1:
-            return x.max(axis=0, keepdims=True)
         return np.maximum.reduceat(x, self.offsets[:-1], axis=0)
 
     def spread(self, v: np.ndarray) -> np.ndarray:
-        """Per-bag values (B, ...) onto the packed rows; a pack of one
-        returns its single row, which broadcasts."""
-        return v if self.count == 1 else v[self.ids]
+        """Per-bag values (B, ...) onto the packed rows: (N, ...)."""
+        return np.repeat(v, self.sizes, axis=0)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

@@ -47,12 +47,14 @@ def _load_json(path: str) -> dict:
     return values
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, **fixed) -> TrainConfig:
+    """The config from ``--config``, then the flags, then ``fixed``."""
     values = _load_json(args.config) if args.config else {}
     for f in fields(TrainConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
+    values.update(fixed)
     if "seed" not in values:
         raise ConfigError("--seed is required")
     try:
@@ -63,7 +65,9 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, varied: tuple[str, ...] = ()) -> None:
+    """The TrainConfig flags, less those the subcommand sets itself
+    (``varied``: "anchor_count", "ablate")."""
     p.add_argument("--config", help="JSON file with TrainConfig fields")
     p.add_argument("--seed", type=int, help="required here or in --config")
     p.add_argument("--task", choices=["survival", "subtype"])
@@ -71,14 +75,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--grad-accum", dest="grad_accum", type=int)
     p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
-    p.add_argument("--anchor-count", dest="anchor_count", type=int)
+    if "anchor_count" not in varied:
+        p.add_argument("--anchor-count", dest="anchor_count", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--pooling", choices=["gated_attention", "anchor_mean"])
     p.add_argument("--n-folds", dest="n_folds", type=int)
-    p.add_argument("--ablate-route", dest="ablate_route", action="store_const", const=True)
-    p.add_argument("--ablate-reducer", dest="ablate_reducer", action="store_const", const=True)
-    p.add_argument("--ablate-kmeans-init", dest="ablate_kmeans_init",
-                   action="store_const", const=True)
+    if "ablate" not in varied:
+        p.add_argument("--ablate-route", dest="ablate_route", action="store_const", const=True)
+        p.add_argument("--ablate-reducer", dest="ablate_reducer", action="store_const",
+                       const=True)
+        p.add_argument("--ablate-kmeans-init", dest="ablate_kmeans_init",
+                       action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="full model plus the three ablations")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, varied=("ablate",))
 
     p = sub.add_parser("sweep-anchors", help="one run per anchor count")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--counts", default="32,64,128")
-    _add_train_flags(p)
+    _add_train_flags(p, varied=("anchor_count",))
 
     p = sub.add_parser("export-assignments", help="per-layer anchor assignment of one bag")
     p.add_argument("--checkpoint", required=True)
@@ -151,11 +158,12 @@ def run(argv: list[str]) -> int:
         print(comparison_table(reports, cfg.task), end="")
 
     elif args.command == "sweep-anchors":
-        cfg = _train_config(args)
         try:
             counts = [int(c) for c in args.counts.split(",") if c]
         except ValueError as exc:
             raise ConfigError(f"bad --counts value {args.counts!r}") from exc
+        # every run overrides the anchor count; the base config takes the first
+        cfg = _train_config(args, **({"anchor_count": counts[0]} if counts else {}))
         reports = sweep_anchors(cfg, read_dataset(args.data),
                                 counts=counts, out_dir=args.out)
         labeled = {f"{c} anchors": r for c, r in reports.items()}
@@ -171,6 +179,8 @@ def run(argv: list[str]) -> int:
             print(text, end="")
 
     elif args.command == "gradcheck":
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         worst = 0.0
         # a pack of three runs every fused node's segment form too
         for task in ("survival", "subtype"):

@@ -12,6 +12,7 @@ import numpy as np
 from . import framing
 from .errors import ConfigError, DataError, HeaderError
 from .losses import SubtypeLabel, SurvivalLabel
+from .model import check_field_types
 
 MAGIC = b"MBAG1"
 
@@ -71,6 +72,14 @@ class SynthConfig:
     censoring_rate: float = 0.3
 
     def validate(self) -> None:
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.noise_std < 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (isinstance(self.m_range, (list, tuple)) and len(self.m_range) == 2
+                and all(type(m) is int for m in self.m_range)):
+            raise ConfigError(f"m_range must be two integers, got {self.m_range!r}")
         if self.n_bags < 1 or self.d < 1:
             raise ConfigError("n_bags and d must be positive")
         if self.n_prototypes < 2:

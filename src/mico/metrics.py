@@ -1,4 +1,5 @@
-"""Evaluation metrics: concordance index, accuracy, macro-F1, binary AUC."""
+"""Evaluation metrics: concordance index, accuracy, macro-F1, binary and
+macro AUC."""
 
 from __future__ import annotations
 
@@ -54,9 +55,11 @@ class ClassificationMetrics:
 
 
 def classification_metrics(scores, labels: list[SubtypeLabel]) -> ClassificationMetrics:
-    """Accuracy and macro-F1 with argmax predictions, plus binary AUC on the
-    class-1 score column. ACC/F1 are always returned; AUC is None when only
-    one class is present."""
+    """Accuracy and macro-F1 with argmax predictions, plus AUC: binary on the
+    class-1 score column for two classes; for more, the one-vs-rest macro
+    AUC, the mean over the classes present of each class's binary AUC against
+    the rest. ACC/F1 are always returned; AUC is None when only one class is
+    present."""
     s = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     y = np.array([lab.class_index for lab in labels], dtype=np.int64)
     if s.shape[0] != y.size:
@@ -76,7 +79,10 @@ def classification_metrics(scores, labels: list[SubtypeLabel]) -> Classification
     macro_f1 = float(np.mean(f1s))
 
     try:
-        auc = binary_auc(s[:, 1], y) if n_classes == 2 else None
+        if n_classes == 2:
+            auc = binary_auc(s[:, 1], y)
+        else:  # one class alone present raises here too
+            auc = float(np.mean([binary_auc(s[:, c], y == c) for c in np.unique(y)]))
     except UndefinedMetricError:
         auc = None
     return ClassificationMetrics(acc=acc, macro_f1=macro_f1, auc=auc)

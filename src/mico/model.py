@@ -11,6 +11,7 @@ one bag-level vector for the task head.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -49,18 +50,20 @@ class Assignment:
     aggregated: np.ndarray   # (B*K, d) aggregated anchor values, bag-major
 
 
-def check_int_fields(config) -> None:
-    """Reject a value that is not an ``int`` (or is a ``bool``) in any field
-    of a config dataclass annotated ``int``; ``int | None`` also takes None."""
+def check_field_types(config) -> None:
+    """Reject a value of the wrong type in a config dataclass field: one
+    annotated ``int`` takes an int, one annotated ``float`` a finite real
+    number, neither a bool; ``int | None`` also takes None."""
     hints = get_type_hints(type(config))
     for f in fields(config):
-        value = getattr(config, f.name)
-        if hints[f.name] == int | None and value is None:
+        value, hint = getattr(config, f.name), hints[f.name]
+        if hint not in (int, int | None, float) or (hint == int | None and value is None):
             continue
-        if hints[f.name] in (int, int | None) and (
-                not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(
-                f"{f.name} must be an integer, got {type(value).__name__} {value!r}")
+        want = numbers.Real if hint is float else int
+        if (isinstance(value, bool) or not isinstance(value, want)
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "a finite number" if hint is float else "an integer"
+            raise ConfigError(f"{f.name} must be {kind}, got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -82,7 +85,7 @@ class MicoConfig:
         self.validate()
 
     def validate(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.d < 1:
             raise ConfigError(f"feature dim must be >= 1, got {self.d}")
         if self.layers < 1:
@@ -261,13 +264,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # the pre-activations of its MLP or gates; backward recomputes the elementwise
 # activations from them and never repeats a matmul.
 
-def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
-                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 seg: ad.Segments | None = None) -> Tensor:
-    """Residual instance refinement: h' = h + MLP(h + assigned context),
-    each row's context drawn from its own bag's anchors."""
-    seg = seg or ad.Segments([H.data.shape[0]])
-    X = H.data + seg.matmul(A_hat.data, S_agg.data)
+def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g)`` accumulates
+    the four weight gradients for the upstream gradient g of Y and returns
+    the gradient of X."""
     P = X @ w1.data
     P += b1.data
     Y = _gelu(P) @ w2.data
@@ -276,14 +276,29 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
     def bw(g):
         gP = g @ w2.data.T
         gP *= _gelu_slope(P)
-        gX = gP @ w1.data.T
-        _accum(H, g + gX)
-        _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
-        _accum(S_agg, seg.outer(A_hat.data, gX))
         _accum(w1, X.T @ gP)
         _accum(b1, gP.sum(axis=0))
         _accum(w2, _gelu(P).T @ g)
         _accum(b2, g.sum(axis=0))
+        return gP @ w1.data.T
+
+    return Y, bw
+
+
+def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
+                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 seg: ad.Segments | None = None) -> Tensor:
+    """Residual instance refinement: h' = h + MLP(h + assigned context),
+    each row's context drawn from its own bag's anchors."""
+    seg = seg or ad.Segments([H.data.shape[0]])
+    X = H.data + seg.matmul(A_hat.data, S_agg.data)
+    Y, mlp_bw = _gelu_mlp(X, w1, b1, w2, b2)
+
+    def bw(g):
+        gX = mlp_bw(g)
+        _accum(H, g + gX)
+        _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
+        _accum(S_agg, seg.outer(A_hat.data, gX))
 
     return _make(H.data + Y, (H, A_hat, S_agg, w1, b1, w2, b2), "route_update", bw)
 
@@ -310,21 +325,10 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     K = S_agg.data.shape[0] // bags
     if K < 2 or K % 2 != 0:
         raise ConfigError(f"cluster_reduce: anchor count {K} must be even and >= 2")
-    T = _block_transpose(S_agg.data, bags)
-    P = T @ r1.data
-    P += rb1.data
-    Y = _gelu(P) @ r2.data
-    Y += rb2.data
+    Y, mlp_bw = _gelu_mlp(_block_transpose(S_agg.data, bags), r1, rb1, r2, rb2)
 
     def bw(g):
-        gY = _block_transpose(g, bags)
-        gP = gY @ r2.data.T
-        gP *= _gelu_slope(P)
-        _accum(S_agg, _block_transpose(gP @ r1.data.T, bags))
-        _accum(r1, _block_transpose(S_agg.data, bags).T @ gP)
-        _accum(rb1, gP.sum(axis=0))
-        _accum(r2, _gelu(P).T @ gY)
-        _accum(rb2, gY.sum(axis=0))
+        _accum(S_agg, _block_transpose(mlp_bw(_block_transpose(g, bags)), bags))
 
     return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)
 
@@ -341,8 +345,7 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
     attn = e / seg.spread(seg.sum(e))
 
     def bw(g):
-        G = seg.spread(g)
-        g_attn = attn * (H.data * G).sum(axis=1)
+        g_attn = attn * (H.data * seg.spread(g)).sum(axis=1)
         g_scores = g_attn - attn * seg.spread(seg.sum(g_attn))
         a, b = np.tanh(PV), _sigmoid(PU)
         gate = a * b
@@ -351,7 +354,8 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
         gPV *= 1.0 - a * a
         gPU = g_gate * a
         gPU *= b * (1.0 - b)
-        _accum(H, attn[:, None] * G + gPV @ V.data.T + gPU @ U.data.T)
+        # g spread again, not held as an (N, d) copy through the gate gradients
+        _accum(H, attn[:, None] * seg.spread(g) + gPV @ V.data.T + gPU @ U.data.T)
         _accum(V, H.data.T @ gPV)
         _accum(U, H.data.T @ gPU)
         _accum(w, gate.T @ g_scores[:, None])

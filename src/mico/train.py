@@ -11,8 +11,6 @@ some MIL training setups use; the substitution is noted in every report.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -34,7 +32,7 @@ from .losses import (
     survival_nll,
 )
 from .metrics import c_index, classification_metrics
-from .model import MicoConfig, MicoModel, check_int_fields, random_anchor_init
+from .model import MicoConfig, MicoModel, check_field_types, random_anchor_init
 
 OPTIMIZER_NOTE = "optimizer: Adam substituted for the Ranger-style optimizer"
 KMEANS_NOTE = "anchor K-means runs per fold on that fold's training instances only"
@@ -61,11 +59,11 @@ class TrainConfig:
     kmeans_pool_cap: int = 50000
 
     def validate(self) -> None:
-        check_int_fields(self)
-        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
-                or not math.isfinite(self.lr) or self.lr <= 0):
-            raise ConfigError(
-                f"lr must be a positive finite number, got {type(self.lr).__name__} {self.lr!r}")
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr!r}")
         if self.grad_accum < 1:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
         if self.epochs < 1 or self.early_stop_patience < 1:
@@ -410,11 +408,14 @@ def evaluate_checkpoint(path: str, bags: list[FeatureBag]) -> dict:
 # ---------------------------------------------------------------------------
 # ablation and anchor sweep
 
+# each row sets every ablation field, so a row is what its name says
+# whatever the caller's config holds
+_UNABLATED = {"ablate_kmeans_init": False, "ablate_reducer": False, "ablate_route": False}
 ABLATIONS = [
-    ("full", {}),
-    ("w/o anchor init", {"ablate_kmeans_init": True}),
-    ("w/o reducer", {"ablate_reducer": True}),
-    ("w/o route", {"ablate_route": True}),
+    ("full", _UNABLATED),
+    ("w/o anchor init", {**_UNABLATED, "ablate_kmeans_init": True}),
+    ("w/o reducer", {**_UNABLATED, "ablate_reducer": True}),
+    ("w/o route", {**_UNABLATED, "ablate_route": True}),
 ]
 
 

@@ -263,3 +263,64 @@ class TestAdam:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(OptimizerError, match="'p'"):
             Adam({"p": p}).step()
+
+
+
+def _bag_rows(sizes):
+    ends = np.cumsum(sizes)
+    return [slice(int(e - m), int(e)) for m, e in zip(sizes, ends)]
+
+
+def _segment_arrays(sizes, p, q):
+    """Packed x (N, p) and z (N, q), and stacked blocks y (B*p, q) and
+    yt (B*q, p)."""
+    rng = np.random.default_rng(len(sizes) * 10 + p)
+    n, B = sum(sizes), len(sizes)
+    return (rng.standard_normal((n, p)), rng.standard_normal((n, q)),
+            rng.standard_normal((B * p, q)), rng.standard_normal((B * q, p)))
+
+
+SQUARE_OR_NOT = pytest.mark.parametrize("p,q", [(4, 4), (3, 5)], ids=["square", "non-square"])
+
+
+@SQUARE_OR_NOT
+@pytest.mark.parametrize("sizes", [[6], [1], [3, 1], [4, 1, 6, 2, 5]],
+                         ids=["B1", "B1-M1", "B2", "B5"])
+class TestSegments:
+    """Each method against the plain NumPy call on each bag, exactly."""
+
+    def test_matmul_and_outer_blocks_are_the_bag_products(self, sizes, p, q):
+        seg = ad.Segments(sizes)
+        x, z, y, yt = _segment_arrays(sizes, p, q)
+        out, out_t, outer = seg.matmul(x, y), seg.matmul(x, yt, trans_y=True), seg.outer(x, z)
+        assert out.shape == out_t.shape == (sum(sizes), q) and outer.shape == y.shape
+        for b, rows in enumerate(_bag_rows(sizes)):
+            assert np.array_equal(out[rows], x[rows] @ y[b * p:(b + 1) * p])
+            assert np.array_equal(out_t[rows], x[rows] @ yt[b * q:(b + 1) * q].T)
+            assert np.array_equal(outer[b * p:(b + 1) * p], x[rows].T @ z[rows])
+
+    def test_reductions_and_spread_are_per_bag(self, sizes, p, q):
+        seg = ad.Segments(sizes)
+        x = _segment_arrays(sizes, p, q)[0]
+        for arr in (x, x[:, 0]):   # rows of a matrix, and entries of a vector
+            peak, total = seg.max(arr), seg.sum(arr)
+            for b, rows in enumerate(_bag_rows(sizes)):
+                assert np.array_equal(peak[b], arr[rows].max(axis=0))
+                assert np.allclose(total[b], arr[rows].sum(axis=0), rtol=1e-14, atol=1e-14)
+        v = x[:len(sizes)]
+        spread = seg.spread(v)
+        for b, rows in enumerate(_bag_rows(sizes)):
+            assert np.array_equal(spread[rows], np.broadcast_to(v[b], spread[rows].shape))
+
+
+@SQUARE_OR_NOT
+@pytest.mark.parametrize("m", [6, 1])
+def test_segments_of_one_bag_are_the_plain_expressions(m, p, q):
+    seg = ad.Segments([m])
+    x, z, y, yt = _segment_arrays([m], p, q)
+    assert np.array_equal(seg.matmul(x, y), x @ y)
+    assert np.array_equal(seg.matmul(x, yt, trans_y=True), x @ yt.T)
+    assert np.array_equal(seg.outer(x, z), x.T @ z)
+    assert np.array_equal(seg.sum(x), x.sum(axis=0, keepdims=True))
+    assert np.array_equal(seg.max(x), x.max(axis=0, keepdims=True))
+    assert np.array_equal(seg.spread(z[:1]), np.broadcast_to(z[:1], z.shape))

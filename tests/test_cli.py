@@ -253,6 +253,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("ablate", ["--ablate-route"]), ("ablate", ["--ablate-reducer"]),
+        ("ablate", ["--ablate-kmeans-init"]), ("sweep-anchors", ["--anchor-count", "4"]),
+    ], ids=["ablate-route", "ablate-reducer", "ablate-kmeans-init", "sweep-anchor-count"])
+    def test_flag_the_command_varies_is_rejected(self, tmp_path, capsys, command, flag):
+        # each row or run sets that field itself, so the flag would be ignored
+        args = [command, "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                "--seed", "3"] + flag
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag[0] in err
+
+    def test_sweep_base_config_takes_the_first_count(self, tmp_path, capsys):
+        # the default 64 anchors do not halve 7 times, but no run uses 64: the
+        # config passes and the missing data is what fails
+        args = ["sweep-anchors", "--data", str(tmp_path / "missing"), "--out",
+                str(tmp_path / "o"), "--seed", "3", "--layers", "7", "--counts", "128,256"]
+        assert main(args) == EXIT_DATA
+        assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth,argv,message", [
+        ({"n_bags": 2.5}, None, "n_bags must be an integer"),
+        ({"n_bags": True}, None, "n_bags must be an integer"),
+        ({"m_range": 5}, None, "m_range must be two integers"),
+        ({"m_range": [5, 7.5]}, None, "m_range must be two integers"),
+        ({"seed": -1}, None, "seed must be >= 0"),
+        ({"noise_std": -1}, None, "noise_std must be >= 0"),
+        ({"prototype_separation": "x"}, None, "prototype_separation must be a finite number"),
+        (None, ["train", "--data", "d", "--out", "o", "--seed", "-1"], "seed must be >= 0"),
+        (None, ["gradcheck", "--seed", "-1"], "seed must be >= 0"),
+    ], ids=["float-n-bags", "bool-n-bags", "int-m-range", "float-m-range", "negative-seed",
+            "negative-noise", "string-separation", "train-negative-seed",
+            "gradcheck-negative-seed"])
+    def test_bad_config_value_returns_config_error(self, tmp_path, capsys, synth, argv,
+                                                   message):
+        if argv is None:
+            argv = ["synth", "--config", synth_config(tmp_path, **synth),
+                    "--out", str(tmp_path / "data")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("args", [["--help"], ["train", "--help"]])
     def test_help_exits_zero(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
@@ -345,7 +388,7 @@ class TestFullFlow:
         data_dir = make_dataset(tmp_path)
         args = ["sweep-anchors", "--data", data_dir,
                 "--out", str(tmp_path / "sweep"), "--counts", "4,8",
-                "--seed", "3", "--epochs", "1", "--anchor-count", "4",
+                "--seed", "3", "--epochs", "1",
                 "--layers", "2", "--task", "subtype", "--n-folds", "2"]
         assert main(args) == EXIT_OK
         out = capsys.readouterr().out

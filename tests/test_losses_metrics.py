@@ -282,6 +282,25 @@ class TestClassificationMetrics:
         assert m.acc == 1.0
         assert m.auc is None
 
+    def test_perfect_three_class_scores_give_auc_one(self):
+        scores = np.eye(3)[[0, 1, 2, 2, 0]]
+        m = classification_metrics(scores, [SubtypeLabel(c) for c in (0, 1, 2, 2, 0)])
+        assert (m.acc, m.macro_f1, m.auc) == (1.0, 1.0, 1.0)
+
+    def test_three_class_auc_is_the_one_vs_rest_mean(self):
+        rng = np.random.default_rng(4)
+        scores = rng.random((30, 3))
+        y = np.arange(30) % 3
+        m = classification_metrics(scores, [SubtypeLabel(int(c)) for c in y])
+        assert m.auc == pytest.approx(np.mean([binary_auc(scores[:, c], y == c)
+                                               for c in range(3)]), abs=1e-15)
+
+    def test_three_class_auc_skips_an_absent_class(self):
+        scores = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+        m = classification_metrics(scores, [SubtypeLabel(c) for c in (0, 1, 1)])
+        assert m.auc == pytest.approx((binary_auc(scores[:, 0], [1, 0, 0])
+                                       + binary_auc(scores[:, 1], [0, 1, 1])) / 2)
+
     def test_mismatched_lengths(self):
         with pytest.raises(DataError):
             classification_metrics(np.zeros((3, 2)), [SubtypeLabel(0)])

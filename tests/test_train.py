@@ -10,6 +10,7 @@ from mico import autodiff as ad
 from mico.autodiff import Adam, Tensor, zero_grad
 from mico.data import SynthConfig, generate
 from mico.errors import ConfigError, DataError, NumericalError
+from mico.losses import SubtypeLabel
 from mico.model import MicoModel
 from mico.train import (
     EarlyStopper,
@@ -91,6 +92,19 @@ class TestTrain:
         a = train(tiny_config(), small_bags())
         b = train(tiny_config(), small_bags())
         assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
+
+    def test_three_classes_early_stop_on_macro_auc(self):
+        # three classes by tertile of the tumor fraction; with no AUC, every
+        # validation score would be the 0.5 stand-in and epoch 1 would win
+        bags = small_bags(n=72)
+        rho = np.array([np.mean(b.true_type_map == 0) for b in bags])
+        cuts = np.quantile(rho, [1 / 3, 2 / 3])
+        for bag, r in zip(bags, rho):
+            bag.label = SubtypeLabel(class_index=int(np.searchsorted(cuts, r, side="right")))
+        report = train(tiny_config(epochs=6, lr=2e-3, subtype_classes=3, n_folds=2), bags)
+        for fold in report.folds:
+            assert fold.best_epoch > 1 and len(set(fold.val_metric_curve)) > 1
+        assert report.mean["auc"] > 0.9
 
     def test_training_reduces_loss(self):
         cfg = tiny_config(epochs=15, lr=5e-3, n_folds=1)
@@ -261,6 +275,18 @@ class TestAblateAndSweep:
         assert reports["w/o anchor init"].folds[0].anchor_init == "random"
         assert reports["full"].folds[0].anchor_init == "kmeans"
         assert os.path.exists(os.path.join(out, "ablation_table.txt"))
+
+    def test_each_row_sets_every_ablation_field(self):
+        # the caller's ablation flags do not leak into the rows
+        reports = ablate(tiny_config(n_folds=1, epochs=1, ablate_route=True,
+                                     ablate_reducer=True), small_bags())
+        flags = {name: tuple(r.config[f] for f in
+                             ("ablate_kmeans_init", "ablate_reducer", "ablate_route"))
+                 for name, r in reports.items()}
+        assert flags == {"full": (False, False, False),
+                         "w/o anchor init": (True, False, False),
+                         "w/o reducer": (False, True, False),
+                         "w/o route": (False, False, True)}
 
     def test_sweep_counts_and_files(self, tmp_path):
         out = str(tmp_path / "sweep")

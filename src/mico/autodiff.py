@@ -80,9 +80,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    def backward(self, grad=None) -> None:
-        backward(self, grad)
-
 
 class Segments:
     """Row layout of a pack of B bags.
@@ -245,7 +242,7 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 class Adam:
     """Adam with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 2e-4,
+    def __init__(self, params: dict[str, Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         self.params = params
         self.lr = lr

@@ -14,6 +14,7 @@ from dataclasses import fields
 
 from .data import SynthConfig, generate, read_bag, read_dataset, write_dataset
 from .errors import ConfigError, DataError, MicoError, NumericalError
+from .model import POOLINGS, TASKS
 from .train import (
     TrainConfig,
     ablate,
@@ -70,7 +71,7 @@ def _add_train_flags(p: argparse.ArgumentParser, varied: tuple[str, ...] = ()) -
     (``varied``: "anchor_count", "ablate")."""
     p.add_argument("--config", help="JSON file with TrainConfig fields")
     p.add_argument("--seed", type=int, help="required here or in --config")
-    p.add_argument("--task", choices=["survival", "subtype"])
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--grad-accum", dest="grad_accum", type=int)
@@ -78,7 +79,7 @@ def _add_train_flags(p: argparse.ArgumentParser, varied: tuple[str, ...] = ()) -
     if "anchor_count" not in varied:
         p.add_argument("--anchor-count", dest="anchor_count", type=int)
     p.add_argument("--layers", type=int)
-    p.add_argument("--pooling", choices=["gated_attention", "anchor_mean"])
+    p.add_argument("--pooling", choices=POOLINGS)
     p.add_argument("--n-folds", dest="n_folds", type=int)
     if "ablate" not in varied:
         p.add_argument("--ablate-route", dest="ablate_route", action="store_const", const=True)
@@ -183,7 +184,7 @@ def run(argv: list[str]) -> int:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         worst = 0.0
         # a pack of three runs every fused node's segment form too
-        for task in ("survival", "subtype"):
+        for task in TASKS:
             for pack in (1, 3):
                 errors = end_to_end_gradcheck(task, seed=args.seed, pack=pack)
                 task_worst = max(errors.values())

@@ -12,7 +12,7 @@ import numpy as np
 from . import framing
 from .errors import ConfigError, DataError, HeaderError
 from .losses import SubtypeLabel, SurvivalLabel
-from .model import check_field_types
+from .model import TASKS, check_field_types
 
 MAGIC = b"MBAG1"
 
@@ -62,7 +62,7 @@ class SynthConfig:
     n_bags: int
     d: int
     seed: int
-    task: str = "survival"                    # "survival" | "subtype"
+    task: str = "survival"                    # one of model.TASKS
     m_range: tuple[int, int] = (25, 50)
     n_prototypes: int = 6
     prototype_separation: float = 10.0
@@ -92,7 +92,7 @@ class SynthConfig:
             raise ConfigError("tumor_prototype_index out of range")
         if self.m_range[0] < 1 or self.m_range[0] > self.m_range[1]:
             raise ConfigError(f"bad m_range {self.m_range}")
-        if self.task not in ("survival", "subtype"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.dispersion > CELL_GRID * CELL_GRID:
             raise ConfigError("dispersion exceeds available spatial cells")
@@ -214,7 +214,13 @@ def read_bag(path: str) -> FeatureBag:
 
 
 def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
-    """Write one file per bag plus a manifest listing relative paths."""
+    """Write one file per bag, ``<bag_id>.mbag``, plus a manifest listing
+    them one a line. An id that would not read back as written (one holding
+    "/", NUL or a line break, or with whitespace at either end) raises
+    DataError before any file is written."""
+    for bag in bags:
+        if bag.bag_id != bag.bag_id.strip() or any(c in bag.bag_id for c in "/\0\n\r"):
+            raise DataError(f"bag id {bag.bag_id!r} cannot name a dataset file")
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for bag in bags:
@@ -231,7 +237,7 @@ def read_dataset(data_dir: str) -> list[FeatureBag]:
     manifest = os.path.join(data_dir, "manifest.txt")
     try:
         with open(manifest) as f:
-            rels = [line.split()[0] for line in f if line.strip()]
+            rels = [line.strip() for line in f if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
     bags = [read_bag(os.path.join(data_dir, rel)) for rel in rels]

@@ -21,6 +21,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, _accum, _make
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 
+TASKS = ("survival", "subtype")
+POOLINGS = ("gated_attention", "anchor_mean")
 NORM_CLAMP = 1e-12
 
 # tanh approximation constants for gelu
@@ -33,11 +35,6 @@ _zero_norm_clamps = 0
 
 def zero_norm_clamp_count() -> int:
     return _zero_norm_clamps
-
-
-def reset_zero_norm_clamp_count() -> None:
-    global _zero_norm_clamps
-    _zero_norm_clamps = 0
 
 
 @dataclass
@@ -66,18 +63,23 @@ def check_field_types(config) -> None:
             raise ConfigError(f"{f.name} must be {kind}, got {type(value).__name__} {value!r}")
 
 
-@dataclass
-class MicoConfig:
-    d: int
-    anchors: int = 64               # K0, halved after every layer
+@dataclass(kw_only=True)
+class ModelFields:
+    """The model settings, and their defaults, of MicoConfig and TrainConfig."""
     layers: int = 3
     mlp_hidden: int | None = None   # defaults to d
-    task: str = "survival"          # "survival" | "subtype"
+    task: str = "survival"          # one of TASKS
     survival_bins: int = 4
     subtype_classes: int = 2
-    pooling: str = "gated_attention"  # "gated_attention" | "anchor_mean"
+    pooling: str = "gated_attention"  # one of POOLINGS
     ablate_route: bool = False
     ablate_reducer: bool = False
+
+
+@dataclass(kw_only=True)
+class MicoConfig(ModelFields):
+    d: int
+    anchors: int                    # K0, halved after every layer
 
     def __post_init__(self):
         if self.mlp_hidden is None:
@@ -95,13 +97,13 @@ class MicoConfig:
                 f"anchor count {self.anchors} must be divisible by 2^layers = {2 ** self.layers}")
         if self.mlp_hidden < 1:
             raise ConfigError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
-        if self.task not in ("survival", "subtype"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.survival_bins < 2:
             raise ConfigError(f"survival_bins must be >= 2, got {self.survival_bins}")
         if self.subtype_classes < 2:
             raise ConfigError(f"subtype_classes must be >= 2, got {self.subtype_classes}")
-        if self.pooling not in ("gated_attention", "anchor_mean"):
+        if self.pooling not in POOLINGS:
             raise ConfigError(f"unknown pooling {self.pooling!r}")
 
     @property
@@ -122,15 +124,15 @@ class MicoConfig:
 # routing ops
 #
 # Every op takes a pack: B bags stacked into one (sum of M, d) matrix H with
-# the row layout ``seg`` (``autodiff.Segments``). Per-bag anchors are stacked
-# as (B*K, d), bag b's in rows b*K:(b+1)*K. Without ``seg`` an op sees one bag.
+# the row layout ``seg`` (``autodiff.Segments``), its last argument. Per-bag
+# anchors are stacked as (B*K, d), bag b's in rows b*K:(b+1)*K.
 
-def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments | None = None) -> Tensor:
+def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments) -> Tensor:
     """Cosine similarity between every instance row and every anchor row.
 
-    With ``seg``, S holds one block of anchors per bag and each bag's rows
-    align against their own block; without it, every row aligns against all
-    of S (the first layer's anchors, shared by the pack).
+    S holds one block of anchors per segment of ``seg``; one segment over
+    all rows aligns every row against all of S (the first layer's anchors,
+    shared by the pack).
 
     Zero-norm rows are clamped at NORM_CLAMP (counted, not fatal); the clamp
     contributes no gradient through the norm. Bag features are checked before
@@ -152,7 +154,6 @@ def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments | None = None) -> Te
     v = np.maximum(v, NORM_CLAMP)
     Hn = H.data / u[:, None]
     Sn = S.data / v[:, None]
-    seg = seg or ad.Segments([H.data.shape[0]])
     A = seg.matmul(Hn, Sn, trans_y=True)
 
     def bw(g):
@@ -181,7 +182,7 @@ def ste_assign(A: Tensor) -> Tensor:
 
 
 def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
-                      seg: ad.Segments | None = None) -> tuple[Tensor, np.ndarray]:
+                      seg: ad.Segments) -> tuple[Tensor, np.ndarray]:
     """Weighted mean of each bag's assigned instances per anchor: a
     scatter-mean per (bag, anchor), returned as (B*K, d) with the (B*K,)
     assignment weights.
@@ -195,7 +196,6 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     """
     M, d = H.data.shape
     K = A_hat.data.shape[-1]
-    seg = seg or ad.Segments([M])
     B = seg.count
     shared = S_prev.data.shape == (K, d)
     if (A_hat.data.shape != (M, K) or seg.rows != M
@@ -208,7 +208,7 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     counts = seg.sum(W).reshape(-1)
     empty = counts == 0.0
     safe = np.where(empty, 1.0, counts)
-    prev = np.tile(S_prev.data, (B, 1)) if shared and B > 1 else S_prev.data
+    prev = np.tile(S_prev.data, (B, 1)) if shared else S_prev.data
     agg = seg.outer(W, H.data) / safe[:, None]
     agg[empty] = prev[empty]
 
@@ -287,10 +287,9 @@ def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
 
 def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 seg: ad.Segments | None = None) -> Tensor:
+                 seg: ad.Segments) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    seg = seg or ad.Segments([H.data.shape[0]])
     X = H.data + seg.matmul(A_hat.data, S_agg.data)
     Y, mlp_bw = _gelu_mlp(X, w1, b1, w2, b2)
 
@@ -306,20 +305,19 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
 def _block_transpose(x: np.ndarray, blocks: int) -> np.ndarray:
     """Transpose each of ``blocks`` stacked row blocks: (blocks*R, C) gives
     (blocks*C, R)."""
-    if blocks == 1:
-        return x.T
     r, c = x.shape[0] // blocks, x.shape[1]
     return x.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
 
 
 def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tensor,
-                   bags: int = 1) -> Tensor:
+                   seg: ad.Segments) -> Tensor:
     """Halve the anchor count with an MLP applied along the anchor axis.
 
     Weights are shared across feature dimensions and bags: the (B*K, d)
     stacked anchors become one (B*d, K) matrix, mapped K -> K -> K/2, and
-    turned back into (B*K/2, d).
+    turned back into (B*K/2, d). Only the bag count of ``seg`` is read.
     """
+    bags = seg.count
     if S_agg.data.shape[0] % bags:
         raise ShapeError(f"cluster_reduce: {S_agg.data.shape[0]} anchor rows for {bags} bags")
     K = S_agg.data.shape[0] // bags
@@ -334,10 +332,9 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
 
 
 def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
-                         seg: ad.Segments | None = None) -> tuple[Tensor, np.ndarray]:
+                         seg: ad.Segments) -> tuple[Tensor, np.ndarray]:
     """Gated attention over each bag's instances; returns the (B, d) pooled
     features and the attention weights (which sum to 1 within each bag)."""
-    seg = seg or ad.Segments([H.data.shape[0]])
     PV = H.data @ V.data
     PU = H.data @ U.data
     scores = ((np.tanh(PV) * _sigmoid(PU)) @ w.data).reshape(-1)
@@ -364,9 +361,10 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
     return pooled, attn
 
 
-def anchor_mean_pool(S: Tensor, bags: int = 1) -> Tensor:
+def anchor_mean_pool(S: Tensor, seg: ad.Segments) -> Tensor:
     """Mean of each bag's final anchors: the (B*K, d) stacked anchors give the
-    (B, d) pooled features."""
+    (B, d) pooled features. Only the bag count of ``seg`` is read."""
+    bags = seg.count
     if S.data.ndim != 2 or S.data.shape[0] % bags:
         raise ShapeError(f"anchor_mean_pool: {S.data.shape} anchor rows for {bags} bags")
     K = S.data.shape[0] // bags
@@ -479,6 +477,8 @@ class MicoModel:
         cfg = self.config
         bags = features if isinstance(features, (list, tuple)) else [features]
         bags = [np.asarray(X, dtype=np.float64) for X in bags]
+        if not bags:
+            raise DataError("a pack needs at least one bag")
         for X in bags:
             if X.ndim != 2 or X.shape[1] != cfg.d:
                 raise DataError(f"bag features must be (M, {cfg.d}), got {X.shape}")
@@ -491,7 +491,7 @@ class MicoModel:
         seg = ad.Segments([X.shape[0] for X in bags])
 
         S = self.params["anchors"]
-        S_seg = None  # the first layer's anchors are shared by every bag
+        S_seg = ad.Segments([seg.rows])  # the first layer's anchors are shared
         assignments: list[Assignment] = []
         for l in range(cfg.layers):
             A = cosine_alignment(H, S, S_seg)
@@ -510,14 +510,14 @@ class MicoModel:
                 S = cluster_reduce(S_agg,
                                    self.params[f"reduce{l}.w1"], self.params[f"reduce{l}.b1"],
                                    self.params[f"reduce{l}.w2"], self.params[f"reduce{l}.b2"],
-                                   seg.count)
+                                   seg)
             S_seg = seg
 
         if cfg.pooling == "gated_attention":
             pooled, _ = gated_attention_pool(
                 H, self.params["attn.V"], self.params["attn.U"], self.params["attn.w"], seg)
         else:  # anchor_mean
-            pooled = anchor_mean_pool(S, seg.count)
+            pooled = anchor_mean_pool(S, seg)
 
         out = ad.linear(pooled, self.params["head.w"], self.params["head.b"])
         return out, assignments

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,28 +32,20 @@ from .losses import (
     survival_nll,
 )
 from .metrics import c_index, classification_metrics
-from .model import MicoConfig, MicoModel, check_field_types, random_anchor_init
+from .model import MicoConfig, MicoModel, ModelFields, check_field_types, random_anchor_init
 
 OPTIMIZER_NOTE = "optimizer: Adam substituted for the Ranger-style optimizer"
 KMEANS_NOTE = "anchor K-means runs per fold on that fold's training instances only"
 
 
-@dataclass
-class TrainConfig:
+@dataclass(kw_only=True)
+class TrainConfig(ModelFields):
     seed: int
-    task: str = "survival"
     epochs: int = 200
     lr: float = 2e-4
     grad_accum: int = 2
     early_stop_patience: int = 8
     anchor_count: int = 64
-    layers: int = 3
-    mlp_hidden: int | None = None
-    pooling: str = "gated_attention"
-    survival_bins: int = 4
-    subtype_classes: int = 2
-    ablate_route: bool = False
-    ablate_reducer: bool = False
     ablate_kmeans_init: bool = False
     n_folds: int = 4
     kmeans_pool_cap: int = 50000
@@ -77,7 +69,7 @@ class TrainConfig:
         self.model_config(1)
 
     def model_config(self, d: int) -> MicoConfig:
-        # the fields MicoConfig shares by name; training-only ones are dropped
+        # the ModelFields, d and the anchor count; training-only fields are dropped
         return MicoConfig.from_dict(dict(asdict(self), d=d, anchors=self.anchor_count))
 
 
@@ -326,6 +318,12 @@ def train_fold(config: TrainConfig, fold_index: int,
         if stopper.should_stop:
             break
 
+    if opt.t == 0:
+        # the best state would be the initial one, reported as if trained
+        raise ConfigError(
+            f"fold {fold_index}: no optimizer step in {epochs_run} epochs of "
+            f"{len(train_bags)} training bags: a grad_accum group of "
+            f"{config.grad_accum} was never filled")
     model.load_state_arrays(best_state)
     zero_grad(model.params.values())
     metrics = evaluate_model(model, test_bags)
@@ -419,12 +417,6 @@ ABLATIONS = [
 ]
 
 
-def _with_overrides(config: TrainConfig, **kw) -> TrainConfig:
-    d = asdict(config)
-    d.update(kw)
-    return TrainConfig(**d)
-
-
 def ablate(config: TrainConfig, bags: list[FeatureBag],
            out_dir: str | None = None) -> dict[str, RunReport]:
     """Run the full protocol under each ablation with identical seeds/folds."""
@@ -433,7 +425,7 @@ def ablate(config: TrainConfig, bags: list[FeatureBag],
         sub_dir = None
         if out_dir is not None:
             sub_dir = os.path.join(out_dir, name.replace("/", "_").replace(" ", "_"))
-        reports[name] = train(_with_overrides(config, **overrides), bags, out_dir=sub_dir)
+        reports[name] = train(replace(config, **overrides), bags, out_dir=sub_dir)
     if out_dir is not None:
         with open(os.path.join(out_dir, "ablation_table.txt"), "w") as f:
             f.write(comparison_table(reports, config.task))
@@ -441,9 +433,9 @@ def ablate(config: TrainConfig, bags: list[FeatureBag],
 
 
 def sweep_anchors(config: TrainConfig, bags: list[FeatureBag],
-                  counts=(32, 64, 128), out_dir: str | None = None) -> dict[int, RunReport]:
+                  counts, out_dir: str | None = None) -> dict[int, RunReport]:
     """One full run per anchor count over shared folds and seeds."""
-    configs = {c: _with_overrides(config, anchor_count=c) for c in counts}
+    configs = {c: replace(config, anchor_count=c) for c in counts}
     if not configs or len(configs) != len(counts):
         raise ConfigError(f"anchor counts must be distinct and at least one, got {list(counts)}")
     for cfg in configs.values():
@@ -553,7 +545,7 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
         return float(_pack_loss(model, bags, edges, assign_mode="soft")[0].data)
 
     zero_grad(model.params.values())
-    _pack_loss(model, bags, edges, assign_mode="soft")[0].backward()
+    ad.backward(_pack_loss(model, bags, edges, assign_mode="soft")[0])
 
     # no ablation and gated-attention pooling: every parameter has a gradient
     errors = {}

@@ -87,7 +87,7 @@ def test_03_routing_oracles():
         d = int(rng.integers(2, 10))
         H = rng.standard_normal((M, d))
         S = rng.standard_normal((K, d))
-        A = cosine_alignment(Tensor(H), Tensor(S)).data
+        A = cosine_alignment(Tensor(H), Tensor(S), ad.Segments([M])).data
         for m in range(M):
             for k in range(K):
                 ref = H[m] @ S[k] / (np.linalg.norm(H[m]) * np.linalg.norm(S[k]))
@@ -96,7 +96,7 @@ def test_03_routing_oracles():
         onehot = np.zeros((M, K))
         onehot[np.arange(M), idx] = 1.0
         prev = rng.standard_normal((K, d))
-        agg, _ = aggregate_anchors(Tensor(H), Tensor(onehot), Tensor(prev))
+        agg, _ = aggregate_anchors(Tensor(H), Tensor(onehot), Tensor(prev), ad.Segments([M]))
         for k in range(K):
             members = H[idx == k]
             ref = members.mean(axis=0) if members.size else prev[k]
@@ -129,7 +129,7 @@ def test_05_empty_anchor_handling():
     prev = np.array([[0.25, 0.75], [1.0 / 3.0, 2.0 / 7.0]])
     H = Tensor([[4.0, 4.0]], requires_grad=True)
     onehot = Tensor([[1.0, 0.0]])  # anchor 1 receives no instances
-    agg, counts = aggregate_anchors(H, onehot, Tensor(prev))
+    agg, counts = aggregate_anchors(H, onehot, Tensor(prev), ad.Segments([1]))
     carried = np.array_equal(agg.data[1], prev[1])
     finite = bool(np.all(np.isfinite(agg.data))) and counts[1] == 0
     ad.backward(agg, [[0.0, 0.0], [1.0, 1.0]])

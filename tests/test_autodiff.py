@@ -92,7 +92,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with pytest.raises(GraphError, match="scalar"):
-            ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2))).backward()
+            ad.backward(ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2))))
 
     @pytest.mark.parametrize("seed", [1.0, [1.0, 2.0], [[1.0], [2.0]], np.ones((1, 2, 1))],
                              ids=["scalar", "flat", "transposed", "extra-axis"])
@@ -105,7 +105,7 @@ class TestBackward:
 
     def test_detached_loss_rejected(self):
         with pytest.raises(GraphError):
-            Tensor(1.0).backward()
+            ad.backward(Tensor(1.0))
 
     def test_repeated_backward_rejected(self):
         x = Tensor([[1.0]], requires_grad=True)
@@ -119,7 +119,7 @@ class TestBackward:
         y = ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
         ad.backward(y, [[2.0, 4.0]])
         with pytest.raises(GraphError):
-            ad.linear(y, Tensor([[3.0], [3.0]]), Tensor([0.0])).backward(np.ones((1, 1)))
+            ad.backward(ad.linear(y, Tensor([[3.0], [3.0]]), Tensor([0.0])), np.ones((1, 1)))
         assert np.array_equal(x.grad, [[2.0, 4.0]])
 
     def test_zero_grad_resets(self):
@@ -262,7 +262,7 @@ class TestAdam:
     def test_missing_grad_names_parameter(self):
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(OptimizerError, match="'p'"):
-            Adam({"p": p}).step()
+            Adam({"p": p}, lr=0.1).step()
 
 
 

@@ -78,9 +78,11 @@ class TestExitCodes:
     def test_corrupt_bag_returns_data_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         bag_path = os.path.join(data_dir, "bag0000.mbag")
-        raw = bytearray(open(bag_path, "rb").read())
+        with open(bag_path, "rb") as f:
+            raw = bytearray(f.read())
         raw[-10] ^= 0xFF
-        open(bag_path, "wb").write(bytes(raw))
+        with open(bag_path, "wb") as f:
+            f.write(bytes(raw))
         assert main(["train", "--data", data_dir,
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
 
@@ -89,6 +91,16 @@ class TestExitCodes:
         os.remove(os.path.join(data_dir, "bag0003.mbag"))
         assert main(["train", "--data", data_dir,
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+
+    def test_fold_without_an_optimizer_step_returns_config_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path, n_bags=12, d=4, m_range=[3, 6])
+        out_dir = tmp_path / "out"
+        assert main(["train", "--data", data_dir, "--out", str(out_dir), "--seed", "3",
+                     "--task", "subtype", "--grad-accum", "100", "--epochs", "2",
+                     "--n-folds", "1", "--anchor-count", "4", "--layers", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: fold 0: no optimizer step")
+        assert not (out_dir / "report.json").exists()
 
     def test_missing_checkpoint_returns_data_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
@@ -372,7 +384,8 @@ class TestFullFlow:
         assert main(["train", "--data", data_dir, "--out", out_dir,
                      "--config", str(cfg_path), "--seed", "3",
                      "--epochs", "1"]) == EXIT_OK
-        report = json.load(open(os.path.join(out_dir, "report.json")))
+        with open(os.path.join(out_dir, "report.json")) as f:
+            report = json.load(f)
         assert report["config"]["epochs"] == 1  # flag wins over file
 
     def test_ablate_prints_table(self, tmp_path, capsys):

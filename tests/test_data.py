@@ -200,6 +200,29 @@ class TestBagIo:
             read_dataset(str(tmp_path))
 
 
+class TestDataset:
+    def test_ids_with_inner_whitespace_round_trip(self, tmp_path):
+        ids = ["slide 01", "a\tb", "x  y\tz"]
+        bags = generate(cfg(n_bags=len(ids), seed=8))
+        for bag, bag_id in zip(bags, ids):
+            bag.bag_id = bag_id
+        write_dataset(bags, str(tmp_path))
+        assert [bag.bag_id for bag in read_dataset(str(tmp_path))] == ids
+
+    @pytest.mark.parametrize("bad", ["../x", "a/b", "nul\0", "two\nlines", "cr\r",
+                                     " lead", "trail ", "tab\t"],
+                             ids=["parent-dir", "slash", "nul", "newline", "return",
+                                  "leading-space", "trailing-space", "trailing-tab"])
+    def test_id_that_cannot_read_back_is_rejected_before_writing(self, tmp_path, bad):
+        bags = generate(cfg(n_bags=2, seed=8))
+        bags[1].bag_id = bad
+        out_dir = tmp_path / "ds"
+        with pytest.raises(DataError, match="cannot name a dataset file"):
+            write_dataset(bags, str(out_dir))
+        assert not (out_dir / "manifest.txt").exists()
+        assert list(tmp_path.rglob("*.mbag")) == []
+
+
 class TestFolds:
     def test_split_sizes_100_bags(self):
         ids = [f"b{i}" for i in range(100)]

@@ -36,35 +36,35 @@ def gelu_ref(x):
 
 class TestCosineAlignment:
     def test_identical_unit_vectors(self):
-        out = cosine_alignment(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]))
+        out = cosine_alignment(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]), ad.Segments([1]))
         assert out.data[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        out = cosine_alignment(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]))
+        out = cosine_alignment(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), ad.Segments([1]))
         assert out.data[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_per_pair_loop_oracle(self):
         rng = np.random.default_rng(0)
         H, S = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
-        out = cosine_alignment(Tensor(H), Tensor(S))
+        out = cosine_alignment(Tensor(H), Tensor(S), ad.Segments([5]))
         for m in range(5):
             for k in range(4):
                 expected = float(H[m] @ S[k] / (np.linalg.norm(H[m]) * np.linalg.norm(S[k])))
                 assert abs(out.data[m, k] - expected) < 1e-12
 
     def test_zero_norm_row_clamped_and_counted(self):
-        mm.reset_zero_norm_clamp_count()
-        out = cosine_alignment(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[1.0, 0.0]]))
+        before = mm.zero_norm_clamp_count()
+        out = cosine_alignment(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[1.0, 0.0]]),
+                               ad.Segments([2]))
         assert np.all(np.isfinite(out.data))
-        assert mm.zero_norm_clamp_count() == 1
-        mm.reset_zero_norm_clamp_count()
+        assert mm.zero_norm_clamp_count() - before == 1
 
     def test_nan_input_rejected(self):
         H = np.zeros((2, 2))
         H[0, 0] = np.nan
         with pytest.raises(NumericalError):
             cosine_alignment(Tensor._nan_ok(H) if hasattr(Tensor, "_nan_ok") else _raw(H),
-                             Tensor(np.ones((1, 2))))
+                             Tensor(np.ones((1, 2))), ad.Segments([2]))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -72,10 +72,11 @@ class TestCosineAlignment:
         W = rng.standard_normal((4, 3))
 
         def loss_val():
-            return float((cosine_alignment(Tensor(Ha), Tensor(Sa)).data * W).sum())
+            A = cosine_alignment(Tensor(Ha), Tensor(Sa), ad.Segments([4]))
+            return float((A.data * W).sum())
 
         H, S = Tensor(Ha, requires_grad=True), Tensor(Sa, requires_grad=True)
-        ad.backward(cosine_alignment(H, S), W)
+        ad.backward(cosine_alignment(H, S, ad.Segments([4])), W)
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-6
         assert max_rel_err(S.grad, fd_grad(loss_val, Sa)) < 1e-6
 
@@ -115,7 +116,7 @@ class TestAggregateAnchors:
         H = Tensor([[1.0, 1.0], [3.0, 3.0]])
         A = Tensor([[1.0, 0.0], [1.0, 0.0]])
         S_prev = Tensor(np.zeros((2, 2)))
-        agg, counts = aggregate_anchors(H, A, S_prev)
+        agg, counts = aggregate_anchors(H, A, S_prev, ad.Segments([2]))
         assert np.array_equal(agg.data[0], [2.0, 2.0])
         assert np.array_equal(counts, [2, 0])
 
@@ -123,14 +124,14 @@ class TestAggregateAnchors:
         prev = np.array([[0.1, 0.2], [1.0 / 3.0, 2.0 / 7.0]])
         H = Tensor([[5.0, 5.0]])
         A = Tensor([[1.0, 0.0]])
-        agg, _ = aggregate_anchors(H, A, Tensor(prev))
+        agg, _ = aggregate_anchors(H, A, Tensor(prev), ad.Segments([1]))
         assert np.array_equal(agg.data[1], prev[1])
 
     def test_empty_anchor_contributes_zero_gradient_to_instances(self):
         H = Tensor([[5.0, 5.0]], requires_grad=True)
         A = Tensor([[1.0, 0.0]])
         S_prev = Tensor([[0.0, 0.0], [1.0, 1.0]], requires_grad=True)
-        agg, _ = aggregate_anchors(H, A, S_prev)
+        agg, _ = aggregate_anchors(H, A, S_prev, ad.Segments([1]))
         # loss touches only the empty anchor's row
         ad.backward(agg, [[0.0, 0.0], [1.0, 1.0]])
         assert H.grad is None or np.array_equal(H.grad, np.zeros((1, 2)))
@@ -144,7 +145,7 @@ class TestAggregateAnchors:
         onehot = np.zeros((M, K))
         onehot[np.arange(M), idx] = 1.0
         prev = rng.standard_normal((K, d))
-        agg, counts = aggregate_anchors(Tensor(H), Tensor(onehot), Tensor(prev))
+        agg, counts = aggregate_anchors(Tensor(H), Tensor(onehot), Tensor(prev), ad.Segments([M]))
         for k in range(K):
             members = [H[m] for m in range(M) if idx[m] == k]
             if members:
@@ -162,12 +163,12 @@ class TestAggregateAnchors:
         G = rng.standard_normal((2, 3))
 
         def loss_val():
-            agg, _ = aggregate_anchors(Tensor(Ha), Tensor(Wa), Tensor(Pa))
+            agg, _ = aggregate_anchors(Tensor(Ha), Tensor(Wa), Tensor(Pa), ad.Segments([6]))
             return float((agg.data * G).sum())
 
         H = Tensor(Ha, requires_grad=True)
         W = Tensor(Wa, requires_grad=True)
-        agg, _ = aggregate_anchors(H, W, Tensor(Pa))
+        agg, _ = aggregate_anchors(H, W, Tensor(Pa), ad.Segments([6]))
         ad.backward(agg, G)
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-6
         assert max_rel_err(W.grad, fd_grad(loss_val, Wa)) < 1e-6
@@ -187,7 +188,7 @@ class TestRouteUpdate:
         H = Tensor(rng.standard_normal((4, 3)))
         A = ste_assign(Tensor(rng.standard_normal((4, 2))))
         S = Tensor(rng.standard_normal((2, 3)))
-        out = route_update(H, A, S, *mlp_params(rng, 3, 3, zero=True))
+        out = route_update(H, A, S, *mlp_params(rng, 3, 3, zero=True), ad.Segments([4]))
         assert np.array_equal(out.data, H.data)
 
     def test_one_hot_selects_anchor_row(self):
@@ -196,7 +197,8 @@ class TestRouteUpdate:
         A = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         H = rng.standard_normal((2, 2))
         w1, b1, w2, b2 = (p.data for p in mlp_params(rng, 2, 3))
-        out = route_update(Tensor(H), Tensor(A), Tensor(S), *map(Tensor, (w1, b1, w2, b2)))
+        out = route_update(Tensor(H), Tensor(A), Tensor(S), *map(Tensor, (w1, b1, w2, b2)),
+                           ad.Segments([2]))
         # each row's context is the anchor row its one-hot assignment picks
         X = H + S[[2, 1]]
         expected = H + gelu_ref(X @ w1 + b1) @ w2 + b2
@@ -211,10 +213,12 @@ class TestRouteUpdate:
         params = mlp_params(rng, 3, 3)
 
         def loss_val():
-            return float(route_update(Tensor(Ha), Tensor(Aa), Tensor(Sa), *params).data.sum())
+            return float(route_update(Tensor(Ha), Tensor(Aa), Tensor(Sa), *params,
+                                      ad.Segments([5])).data.sum())
 
         H = Tensor(Ha, requires_grad=True)
-        ad.backward(route_update(H, Tensor(Aa), Tensor(Sa), *params), np.ones((5, 3)))
+        ad.backward(route_update(H, Tensor(Aa), Tensor(Sa), *params, ad.Segments([5])),
+                    np.ones((5, 3)))
         assert max_rel_err(H.grad, fd_grad(loss_val, Ha)) < 1e-5
 
 
@@ -227,7 +231,7 @@ class TestClusterReduce:
         rb1 = Tensor(np.zeros(2))
         r2 = Tensor(np.array([[0.5], [0.5]]))
         rb2 = Tensor(np.zeros(1))
-        out = cluster_reduce(Tensor(anchors), r1, rb1, r2, rb2)
+        out = cluster_reduce(Tensor(anchors), r1, rb1, r2, rb2, ad.Segments([1]))
 
         def gelu(x):  # tanh approximation
             return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
@@ -243,7 +247,8 @@ class TestClusterReduce:
         rb1 = Tensor(np.zeros(K))
         r2 = Tensor(rng.standard_normal((K, K // 2)))
         rb2 = Tensor(np.zeros(K // 2))
-        out = cluster_reduce(Tensor(rng.standard_normal((K, d))), r1, rb1, r2, rb2)
+        out = cluster_reduce(Tensor(rng.standard_normal((K, d))), r1, rb1, r2, rb2,
+                             ad.Segments([1]))
         assert out.data.shape == (32, 16)
 
     def test_odd_anchor_count_rejected(self):
@@ -251,7 +256,7 @@ class TestClusterReduce:
         with pytest.raises(ConfigError):
             cluster_reduce(Tensor(rng.standard_normal((3, 2))),
                            Tensor(np.eye(3)), Tensor(np.zeros(3)),
-                           Tensor(np.zeros((3, 1))), Tensor(np.zeros(1)))
+                           Tensor(np.zeros((3, 1))), Tensor(np.zeros(1)), ad.Segments([1]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -261,10 +266,10 @@ class TestClusterReduce:
                   Tensor(rng.standard_normal((K, K // 2))), Tensor(rng.standard_normal(K // 2)))
 
         def loss_val():
-            return float(cluster_reduce(Tensor(Sa), *params).data.sum())
+            return float(cluster_reduce(Tensor(Sa), *params, ad.Segments([1])).data.sum())
 
         S = Tensor(Sa, requires_grad=True)
-        ad.backward(cluster_reduce(S, *params), np.ones((K // 2, d)))
+        ad.backward(cluster_reduce(S, *params, ad.Segments([1])), np.ones((K // 2, d)))
         assert max_rel_err(S.grad, fd_grad(loss_val, Sa)) < 1e-5
 
 
@@ -317,9 +322,9 @@ def _anchor_mean_inputs(rng, sizes):
 
 FUSED = {
     "route_update": (_route_inputs, lambda t, seg: route_update(*t, seg)),
-    "cluster_reduce": (_reduce_inputs, lambda t, seg: cluster_reduce(*t, seg.count)),
+    "cluster_reduce": (_reduce_inputs, lambda t, seg: cluster_reduce(*t, seg)),
     "gated_attention_pool": (_pool_inputs, lambda t, seg: gated_attention_pool(*t, seg)[0]),
-    "anchor_mean_pool": (_anchor_mean_inputs, lambda t, seg: anchor_mean_pool(*t, seg.count)),
+    "anchor_mean_pool": (_anchor_mean_inputs, lambda t, seg: anchor_mean_pool(*t, seg)),
 }
 
 
@@ -352,7 +357,7 @@ class TestGatedAttentionPool:
     def test_single_instance_passthrough(self):
         rng = np.random.default_rng(11)
         H = rng.standard_normal((1, 4))
-        pooled, attn = gated_attention_pool(Tensor(H), *self._params(rng, 4, 4))
+        pooled, attn = gated_attention_pool(Tensor(H), *self._params(rng, 4, 4), ad.Segments([1]))
         assert np.array_equal(pooled.data, H)
         assert attn[0] == 1.0
 
@@ -360,14 +365,14 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(12)
         row = rng.standard_normal(3)
         H = np.tile(row, (5, 1))
-        _, attn = gated_attention_pool(Tensor(H), *self._params(rng, 3, 3))
+        _, attn = gated_attention_pool(Tensor(H), *self._params(rng, 3, 3), ad.Segments([5]))
         assert np.max(np.abs(attn - 0.2)) < 1e-12
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             H = rng.standard_normal((8, 4))
-            _, attn = gated_attention_pool(Tensor(H), *self._params(rng, 4, 4))
+            _, attn = gated_attention_pool(Tensor(H), *self._params(rng, 4, 4), ad.Segments([8]))
             assert abs(attn.sum() - 1.0) < 1e-12
 
 
@@ -382,7 +387,7 @@ class TestAnchorMeanPool:
         Sa = rng.standard_normal((bags * K, d))
         G = rng.standard_normal((bags, d))
         S = Tensor(Sa, requires_grad=True)
-        pooled = anchor_mean_pool(S, bags)
+        pooled = anchor_mean_pool(S, ad.Segments([1] * bags))
         assert np.array_equal(pooled.data, Sa.reshape(bags, K, d).sum(axis=1) * np.float64(1.0 / K))
         ad.backward(pooled, G)
         scaled = G * np.float64(1.0 / K)
@@ -391,7 +396,7 @@ class TestAnchorMeanPool:
 
     def test_rejects_rows_not_divisible_by_bags(self):
         with pytest.raises(ShapeError):
-            anchor_mean_pool(Tensor(np.zeros((5, 2))), 2)
+            anchor_mean_pool(Tensor(np.zeros((5, 2))), ad.Segments([1, 1]))
 
 
 def small_model(task="subtype", k0=4, layers=2, d=6, pooling="gated_attention", **kw):
@@ -470,6 +475,10 @@ class TestForward:
     def test_empty_bag_rejected(self):
         with pytest.raises(DataError):
             small_model().forward(np.zeros((0, 6)))
+
+    def test_empty_pack_rejected(self):
+        with pytest.raises(DataError, match="a pack needs at least one bag"):
+            small_model().forward([])
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(DataError):

@@ -69,10 +69,10 @@ def test_pack_logits_and_gradients_match_per_bag(config):
     params = model.trainable_params()
     ad.zero_grad(model.params.values())
     for bag in bags:
-        _pack_loss(model, [bag], EDGES, mode)[0].backward()
+        ad.backward(_pack_loss(model, [bag], EDGES, mode)[0])
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags, EDGES, mode)[0].backward()
+    ad.backward(_pack_loss(model, bags, EDGES, mode)[0])
     for name, p in params.items():
         assert rel_dev(p.grad, expected[name]) <= 1e-12, name
 
@@ -152,10 +152,10 @@ def test_assignment_records_survive_later_forward_and_step():
     _, records = model.forward(bag.features)
     snapshot = [{k: np.copy(v) for k, v in vars(r).items()} for r in records]
     opt = Adam(model.trainable_params(), lr=0.1)
-    _pack_loss(model, [bag], EDGES)[0].backward()
+    ad.backward(_pack_loss(model, [bag], EDGES)[0])
     opt.step()
     model.forward(make_bags(rng, "subtype", [5], d=6)[0].features)
-    _pack_loss(model, [bag], EDGES)[0].backward()
+    ad.backward(_pack_loss(model, [bag], EDGES)[0])
     opt.step()
     for rec, snap in zip(records, snapshot):
         for key, value in vars(rec).items():

@@ -4,7 +4,8 @@ Over random bag counts, bag sizes (M = 1 included), feature widths, anchor
 counts and layer counts: a pack's logits equal its bags' per-bag logits, the
 gradient of its summed loss equals the sum of its bags' gradients, every
 layer's assignment counts add up to each bag's size, and permuting the bags
-of a pack permutes its output rows.
+of a pack permutes its output rows, and layer l aligns each bag against
+K0/2^l anchors (K0 under reducer ablation).
 """
 
 import numpy as np
@@ -63,10 +64,10 @@ def test_packed_group_gradient_equals_sum_of_per_bag_gradients(case):
     edges = np.arange(1.0, cfg.survival_bins)
     params = model.trainable_params()
     for bag in bags:
-        _pack_loss(model, [bag], edges)[0].backward()
+        ad.backward(_pack_loss(model, [bag], edges)[0])
     expected = {name: p.grad for name, p in params.items()}
     ad.zero_grad(model.params.values())
-    _pack_loss(model, bags, edges)[0].backward()
+    ad.backward(_pack_loss(model, bags, edges)[0])
     for name, p in params.items():
         assert close(p.grad, expected[name]), name
     ad.zero_grad(model.params.values())
@@ -80,6 +81,20 @@ def test_counts_are_conserved_per_bag(case):
     sizes = [X.shape[0] for X in bags]
     for rec in records:
         assert np.array_equal(rec.counts.reshape(len(bags), -1).sum(axis=1), sizes)
+
+
+@PROPERTY_SETTINGS
+@given(packs())
+def test_anchors_halve_at_every_layer(case):
+    model, bags = case
+    cfg = model.config
+    _, records = model.forward(bags)
+    assert len(records) == cfg.layers
+    for l, rec in enumerate(records):
+        k = cfg.anchors if cfg.ablate_reducer else cfg.anchors // 2 ** l
+        assert rec.alignment.shape[1] == k, l
+        assert rec.counts.size == len(bags) * k, l
+        assert rec.aggregated.shape == (len(bags) * k, cfg.d), l
 
 
 @PROPERTY_SETTINGS

@@ -43,7 +43,7 @@ def leaf(rng, *shape):
 
 def _cosine(rng):
     H, S = leaf(rng, 5, 3), leaf(rng, 4, 3)
-    return model_mod.cosine_alignment(H, S), [H, S]
+    return model_mod.cosine_alignment(H, S, ad.Segments([5])), [H, S]
 
 
 def _ste(rng):
@@ -55,7 +55,7 @@ def _aggregate(rng):
     H, S = leaf(rng, 5, 3), leaf(rng, 4, 3)
     # anchor 3 stays empty, so the carried-through branch runs too
     W = Tensor(np.eye(4)[[0, 1, 2, 0, 1]], requires_grad=True)
-    return model_mod.aggregate_anchors(H, W, S)[0], [H, W, S]
+    return model_mod.aggregate_anchors(H, W, S, ad.Segments([5]))[0], [H, W, S]
 
 
 def _cosine_packed(rng):
@@ -89,7 +89,7 @@ def _route_packed(rng):
 
 def _reduce(rng, bags=1):
     leaves = [leaf(rng, 4 * bags, 3), leaf(rng, 4, 4), leaf(rng, 4), leaf(rng, 4, 2), leaf(rng, 2)]
-    return model_mod.cluster_reduce(*leaves, bags), leaves
+    return model_mod.cluster_reduce(*leaves, ad.Segments([1] * bags)), leaves
 
 
 def _reduce_packed(rng):
@@ -112,7 +112,7 @@ def _linear(rng):
 
 def _anchor_mean(rng, bags=1):
     S = leaf(rng, 4 * bags, 3)
-    return model_mod.anchor_mean_pool(S, bags), [S]
+    return model_mod.anchor_mean_pool(S, ad.Segments([1] * bags)), [S]
 
 
 def _anchor_mean_packed(rng):
@@ -239,14 +239,14 @@ def test_forward_without_backward_frees_the_tape(task, mode):
 @pytest.mark.parametrize("task", ["survival", "subtype"])
 def test_backward_frees_intermediates_while_loss_lives(task, mode):
     model, bag = _model_and_bag(task)
-    _pack_loss(model, [bag], EDGES, assign_mode=mode)[0].backward()
+    ad.backward(_pack_loss(model, [bag], EDGES, assign_mode=mode)[0])
     expected = {name: p.grad for name, p in model.params.items()}
     ad.zero_grad(model.params.values())
 
     with no_cycle_collector():
         loss = _pack_loss(model, [bag], EDGES, assign_mode=mode)[0]
         refs = _op_output_refs(loss)[1:]
-        loss.backward()
+        ad.backward(loss)
         assert [r for r in refs if r() is not None] == []
         assert np.isfinite(loss.data)
     for name, p in model.params.items():

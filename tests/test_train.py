@@ -106,6 +106,19 @@ class TestTrain:
             assert fold.best_epoch > 1 and len(set(fold.val_metric_curve)) > 1
         assert report.mean["auc"] > 0.9
 
+    @pytest.mark.parametrize("grad_accum,patience,epochs", [(100, 8, 2), (15, 1, 5)],
+                             ids=["epochs-end", "early-stop"])
+    def test_fold_without_an_optimizer_step_fails(self, grad_accum, patience, epochs):
+        # 7 training bags an epoch for 2 epochs never fill the group; under
+        # patience 1 the unchanged model stops the run after epoch 2, before
+        # epoch 3 would have filled a group of 15
+        bags = small_bags(n=12)
+        config = tiny_config(grad_accum=grad_accum, early_stop_patience=patience, epochs=epochs)
+        with pytest.raises(ConfigError, match=(
+                f"fold 0: no optimizer step in 2 epochs of 7 training bags: "
+                f"a grad_accum group of {grad_accum} was never filled")):
+            train_fold(config, 0, bags[:7], bags[7:9], bags[9:], np.random.SeedSequence(0))
+
     def test_training_reduces_loss(self):
         cfg = tiny_config(epochs=15, lr=5e-3, n_folds=1)
         report = train(cfg, small_bags(n=32))

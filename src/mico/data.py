@@ -216,11 +216,15 @@ def read_bag(path: str) -> FeatureBag:
 def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
     """Write one file per bag, ``<bag_id>.mbag``, plus a manifest listing
     them one a line. An id that would not read back as written (one holding
-    "/", NUL or a line break, or with whitespace at either end) raises
-    DataError before any file is written."""
+    "/", NUL or a line break, or with whitespace at either end) or that
+    occurs twice raises DataError before any file is written."""
+    seen = set()
     for bag in bags:
         if bag.bag_id != bag.bag_id.strip() or any(c in bag.bag_id for c in "/\0\n\r"):
             raise DataError(f"bag id {bag.bag_id!r} cannot name a dataset file")
+        if bag.bag_id in seen:
+            raise DataError(f"bag id {bag.bag_id!r} occurs more than once")
+        seen.add(bag.bag_id)
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for bag in bags:

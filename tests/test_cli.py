@@ -170,6 +170,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "data error: bag 'bag0007' has dim 4, but the first bag 'bag0000' has dim 6\n")
 
+    def test_overflowing_kmeans_distances_return_data_error(self, tmp_path, capsys):
+        data_dir = make_dataset(tmp_path)
+        for name in os.listdir(data_dir):
+            if name.endswith(".mbag"):
+                path = os.path.join(data_dir, name)
+                bag = read_bag(path)
+                bag.features = bag.features * 1e200
+                write_bag(bag, path)
+        assert main(["train", "--data", data_dir,
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: kmeans: squared distances between instances overflow; "
+            "rescale the features\n")
+
     def test_diverging_run_returns_numerical_error(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path)
         with np.errstate(all="ignore"):

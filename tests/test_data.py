@@ -222,6 +222,14 @@ class TestDataset:
         assert not (out_dir / "manifest.txt").exists()
         assert list(tmp_path.rglob("*.mbag")) == []
 
+    def test_repeated_id_is_rejected_before_writing(self, tmp_path):
+        bags = generate(cfg(n_bags=3, seed=8))
+        bags[2].bag_id = bags[0].bag_id
+        out_dir = tmp_path / "ds"
+        with pytest.raises(DataError, match=f"bag id '{bags[0].bag_id}' occurs more than once"):
+            write_dataset(bags, str(out_dir))
+        assert not out_dir.exists()
+
 
 class TestFolds:
     def test_split_sizes_100_bags(self):

@@ -2,11 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mico import kmeans
 from mico.data import FeatureBag
 from mico.errors import ConfigError, DataError
 from mico.losses import SubtypeLabel
+
+# derandomized: the suite draws the same examples on every run
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def blobs(rng, centers, n_per, std):
@@ -76,6 +80,160 @@ class TestFit:
         with pytest.raises(DataError):
             kmeans.fit(X, k=2)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_overflowing_squared_distances_raise_data_error(self, k):
+        X = np.random.default_rng(6).standard_normal((20, 4)) * 1e200
+        with pytest.raises(DataError, match="overflow"):
+            kmeans.fit(X, k=k)
+
+    def test_temporaries_are_n_by_k_plus_n_by_d_not_n_by_k_by_d(self):
+        n, k, d = 4000, 64, 32
+        X = np.random.default_rng(0).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            kmeans.fit(X, k=k, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * (k + d) * 8
+
+
+# The Lloyd loop that computed every (n, k) distance with _sq_dists, as it
+# was before the assignment step took the certified matmul form: fit must
+# reproduce it bit for bit.
+
+def oracle_plus_plus_seed(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=d2 / total)
+        centers[i] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def oracle_sq_dists(points, centers):
+    d2 = np.empty((points.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        diff = points - c
+        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return d2
+
+
+def oracle_recenter(centers, points, assignments):
+    for j in range(centers.shape[0]):
+        mask = assignments == j
+        if mask.any():
+            centers[j] = points[mask].mean(axis=0)
+
+
+def oracle_fit(X, k, max_iters=100, tol=1e-6, seed=0):
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = oracle_plus_plus_seed(X, k, rng)
+    history = []
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        d2 = oracle_sq_dists(X, centers)
+        assignments = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), assignments].sum()))
+        new_centers = centers.copy()
+        oracle_recenter(new_centers, X, assignments)
+        point_d2 = d2[np.arange(n), assignments]
+        for j in range(k):
+            if not (assignments == j).any():
+                far = int(np.argmax(point_d2))
+                new_centers[j] = X[far]
+                point_d2[far] = 0.0
+        centers = new_centers
+        if len(history) >= 2:
+            prev, cur = history[-2], history[-1]
+            if prev - cur < tol * max(prev, 1e-300):
+                break
+    assignments = np.argmin(oracle_sq_dists(X, centers), axis=1)
+    oracle_recenter(centers, X, assignments)
+    return kmeans.KMeansResult(centers=centers, assignments=assignments,
+                               inertia_history=history, iterations_run=iters)
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.centers, want.centers)
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.inertia_history == want.inertia_history
+    assert got.iterations_run == want.iterations_run
+
+
+@st.composite
+def fit_cases(draw):
+    """(X, k, seed) over random shapes, with k=1, n=k, duplicated points,
+    k above the number of distinct points, integer grids (exact ties) and
+    features scaled by 1e±100."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "k=1", "n=k", "duplicates", "k>distinct", "grid"]))
+    X = rng.standard_normal((n, d))
+    k = draw(st.integers(1, n))
+    if kind == "k=1":
+        k = 1
+    elif kind == "n=k":
+        k = n
+    elif kind in ("duplicates", "k>distinct"):
+        distinct = draw(st.integers(1, n))
+        X = X[rng.integers(0, distinct, n)]
+        if kind == "k>distinct":
+            k = draw(st.integers(min(distinct + 1, n), n))
+    elif kind == "grid":
+        X = np.round(X * 2)
+    X = X * draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    return X, k, draw(st.integers(0, 1000))
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases())
+def test_fit_equals_the_per_center_lloyd_loop(case):
+    X, k, seed = case
+    assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
+
+
+class TestCertifiedAssignment:
+    @pytest.mark.parametrize("n,k,d,seed", [(2048, 64, 512, 0), (5648, 16, 32, 1),
+                                            (300, 7, 3, 2)])
+    def test_fit_equals_the_loop_at_bench_shapes(self, n, k, d, seed):
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
+
+    def test_overflowing_norms_fall_back_to_the_loop(self):
+        # ‖x‖² overflows, yet every squared distance is finite
+        rng = np.random.default_rng(3)
+        X = 1e155 * (1.0 + 1e-3 * rng.standard_normal((40, 8)))
+        assert_same_fit(kmeans.fit(X, 4, seed=1), oracle_fit(X, 4, seed=1))
+
+    def test_exact_tie_goes_to_the_lower_index(self):
+        # x is equally far from both centers under the loop, while the
+        # matmul form alone rounds the second center nearer
+        X = np.array([[12345.0]])
+        C = np.array([[12345.0 - 0.3], [12345.0 + 0.3]])
+        loop = kmeans._sq_dists(X, C)
+        assert loop[0, 0] == loop[0, 1]
+        matmul_form = kmeans._row_sq_norms(X)[:, None] - 2.0 * (X @ C.T) + kmeans._row_sq_norms(C)
+        assert np.argmin(matmul_form[0]) == 1
+        assert kmeans._assign(X, kmeans._row_sq_norms(X), C)[0] == 0
+
+    def test_duplicate_centers_go_to_the_lower_index(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 6))
+        C = np.repeat(rng.standard_normal((3, 6)), 2, axis=0)
+        got = kmeans._assign(X, kmeans._row_sq_norms(X), C)
+        assert np.array_equal(got, np.argmin(oracle_sq_dists(X, C), axis=1))
+        assert np.all(got % 2 == 0)
+
 
 def sq_dists_3d(points, centers):
     """The (n, k, d) broadcast formula the per-center loop must reproduce."""
@@ -110,7 +268,40 @@ def make_bags(rng, n_bags, m, d):
                        label=SubtypeLabel(0)) for i in range(n_bags)]
 
 
+def oracle_subsample_pool(bags, cap, seed=0):
+    """The pool as it was drawn before: every row concatenated, then ``cap``
+    of them taken."""
+    pool = np.concatenate([b.features for b in bags], axis=0)
+    rng = np.random.default_rng(seed)
+    return pool[rng.permutation(pool.shape[0])[:min(cap, pool.shape[0])]]
+
+
 class TestSubsamplePool:
+    @pytest.mark.parametrize("cap", [1, 7, 60, 139, 140, 1000])
+    def test_equals_the_concatenated_pool(self, cap):
+        rng = np.random.default_rng(3)
+        bags = [FeatureBag(bag_id=f"b{i}", features=rng.standard_normal((m, 5)),
+                           label=SubtypeLabel(0)) for i, m in enumerate([1, 30, 2, 57, 50])]
+        assert np.array_equal(kmeans.subsample_pool(bags, cap, seed=11),
+                              oracle_subsample_pool(bags, cap, seed=11))
+
+    def test_memory_is_bounded_by_the_cap(self):
+        bags = make_bags(np.random.default_rng(4), 20, 500, 64)
+        tracemalloc.start()
+        try:
+            pool = kmeans.subsample_pool(bags, cap=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.shape == (100, 64)
+        assert peak < 20 * 500 * 64 * 8 / 10
+
+    def test_mixed_feature_widths(self):
+        rng = np.random.default_rng(5)
+        bags = make_bags(rng, 2, 5, 3) + make_bags(rng, 1, 5, 4)
+        with pytest.raises(DataError, match="widths"):
+            kmeans.subsample_pool(bags, cap=4)
+
     def test_under_cap_returns_everything_shuffled(self):
         rng = np.random.default_rng(0)
         bags = make_bags(rng, 3, 10, 4)

@@ -11,7 +11,9 @@ output's gradient through a weak reference), so the tape holds no reference
 cycles and every node dies with its last reference, without waiting for the
 cycle collector. ``backward`` spends the tape: once a node's rule has run,
 the node drops its rule, its inputs and its gradient. Only leaves keep their
-gradients, and a tape is differentiated once.
+gradients, and a tape is differentiated once. The gradient of a parameter
+that an ``Adam`` owns is a view of the optimizer's flat gradient vector,
+which the next backward after ``zero_grad`` overwrites.
 
 Under ``no_grad()`` ops record nothing: outputs carry no inputs and no rule,
 so scoring builds no tape at all.
@@ -58,8 +60,8 @@ def no_grad():
 class Tensor:
     """A dense n-dimensional float64 array on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_children", "_backward", "_op",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_slot", "_children", "_backward",
+                 "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _children: tuple = (), _op: str = "leaf"):
@@ -69,6 +71,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        # a parameter's view into its optimizer's flat gradient vector
+        self._grad_slot: Optional[np.ndarray] = None
         self._children = _children
         self._backward: Optional[Callable[[], None]] = None
         self._op = _op
@@ -146,8 +150,18 @@ class Segments:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        # ``+`` and ``np.copyto`` would both broadcast it without a word
+        raise GraphError(f"backward: gradient of shape {g.shape} for a {t._op!r} tensor "
+                         f"of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        if t._grad_slot is None:
+            t.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            np.copyto(t._grad_slot, g)
+            t.grad = t._grad_slot
+    elif t.grad is t._grad_slot:
+        t.grad += g   # the bits of ``t.grad + g``, with no new array
     else:
         t.grad = t.grad + g
 
@@ -231,7 +245,8 @@ def backward(root: Tensor, grad=None) -> None:
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:
-    """Reset gradients between training steps; leaves no stale values."""
+    """Reset gradients between training steps; leaves no stale values (an
+    optimizer-owned slice is overwritten by the next first gradient)."""
     for p in params:
         p.grad = None
 
@@ -239,36 +254,87 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam steps its flat vectors this many values at a time through two reused
+# scratch blocks, so a step allocates no temporary as long as the vectors
+_STEP_BLOCK = 1 << 15
+
+
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    The optimizer owns four flat float64 vectors: the parameter values, their
+    gradients and the two moments. Each parameter's ``data`` becomes a view
+    of its slice of the values, and backward writes its gradient into its
+    slice of the gradients, so a step is a dozen NumPy calls per block of
+    the vectors rather than a dozen per parameter. ``m`` and ``v`` map each
+    name to a view of its moments. A parameter joins one optimizer in its
+    lifetime: another one would step a buffer the parameter no longer uses.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+        seen: set[int] = set()
+        for name, p in params.items():
+            if p._grad_slot is not None or id(p) in seen:
+                raise OptimizerError(f"adam: parameter {name!r} already belongs to an optimizer")
+            seen.add(id(p))
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        n = sum(p.data.size for p in params.values())
+        self._values, self._grads = np.empty(n), np.empty(n)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._scratch = (np.empty(min(n, _STEP_BLOCK)), np.empty(min(n, _STEP_BLOCK)))
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        lo = 0
+        for name, p in params.items():
+            hi = lo + p.data.size
+            values = self._values[lo:hi].reshape(p.data.shape)
+            values[...] = p.data
+            p.data = values
+            p._grad_slot = self._grads[lo:hi].reshape(values.shape)
+            self.m[name] = self._m[lo:hi].reshape(values.shape)
+            self.v[name] = self._v[lo:hi].reshape(values.shape)
+            lo = hi
 
     def step(self) -> None:
         for name, p in self.params.items():
             if p.grad is None:
                 raise OptimizerError(f"adam step: parameter {name!r} has no gradient")
+        for name, p in self.params.items():
+            if p.grad is not p._grad_slot:
+                # assigned by hand, not accumulated by backward
+                if p.grad.shape != p.data.shape:
+                    raise GraphError(f"adam step: gradient of shape {p.grad.shape} for "
+                                     f"parameter {name!r} of shape {p.data.shape}")
+                np.copyto(p._grad_slot, p.grad)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        n = self._values.size
         # in place, with the operations and their order of the textbook
         # m = b1 m + (1 - b1) g, so the results are the same bits
-        for name, p in self.params.items():
-            g, m, v = p.grad, self.m[name], self.v[name]
+        for lo in range(0, n, _STEP_BLOCK):
+            hi = min(lo + _STEP_BLOCK, n)
+            g, m, v = self._grads[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            s, r = self._scratch[0][:hi - lo], self._scratch[1][:hi - lo]
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)     # m_hat
+            s *= self.lr
+            np.divide(v, c2, out=r)     # v_hat
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            self._values[lo:hi] -= s
 
     def zero_grad(self) -> None:
         zero_grad(self.params.values())

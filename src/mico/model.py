@@ -145,8 +145,9 @@ def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments) -> Tensor:
     if not (np.all(np.isfinite(H.data)) and np.all(np.isfinite(S.data))):
         raise NumericalError("cosine_alignment: non-finite input")
 
-    u = np.linalg.norm(H.data, axis=1)
-    v = np.linalg.norm(S.data, axis=1)
+    # the arithmetic of ``np.linalg.norm(x, axis=1)``, without its copy x.conj()
+    u = np.sqrt((H.data * H.data).sum(axis=1))
+    v = np.sqrt((S.data * S.data).sum(axis=1))
     n_clamped = int(np.sum(u < NORM_CLAMP) + np.sum(v < NORM_CLAMP))
     if n_clamped:
         _zero_norm_clamps += n_clamped
@@ -224,28 +225,48 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + a x^3)), the tanh of the gelu approximation."""
     # products, not powers (``x ** 3`` takes the slow general pow path), and
-    # one temporary updated in place; scaling by 0.5 last is exact
+    # one temporary updated in place
     t = x * x
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
+    # scaling by 0.5 last is exact
+    t = _gelu_tanh(x)
     t += 1.0
     t *= x
     t *= 0.5
     return t
 
 
-def _gelu_slope(x: np.ndarray) -> np.ndarray:
-    """d gelu / dx of the tanh approximation."""
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
-    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+def _gelu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) and d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2),
+    from one tanh t, in place; gelu(x) has the bits of ``_gelu(x)``."""
+    t = _gelu_tanh(x)
+    rest = 0.5 * x
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    rest *= u
+    np.multiply(x, x, out=u)    # the inner slope c (1 + 3a x^2)
+    u *= 3.0 * _GELU_A
+    u += 1.0
+    u *= _GELU_C
+    rest *= u
+    t += 1.0
+    np.multiply(t, x, out=u)
+    u *= 0.5
+    t *= 0.5
+    t += rest
+    return u, t
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -275,10 +296,11 @@ def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
 
     def bw(g):
         gP = g @ w2.data.T
-        gP *= _gelu_slope(P)
+        act, slope = _gelu_and_slope(P)
+        gP *= slope
         _accum(w1, X.T @ gP)
         _accum(b1, gP.sum(axis=0))
-        _accum(w2, _gelu(P).T @ g)
+        _accum(w2, act.T @ g)
         _accum(b2, g.sum(axis=0))
         return gP @ w1.data.T
 
@@ -460,7 +482,8 @@ class MicoModel:
             if state[name].shape != p.data.shape:
                 raise ConfigError(
                     f"parameter {name!r} shape {state[name].shape} != expected {p.data.shape}")
-            p.data = np.array(state[name], dtype=np.float64, copy=True)
+            # into the arrays, which may be views of an optimizer's vector
+            p.data[...] = state[name]
 
     def forward(self, features, assign_mode: str = "hard") -> tuple[Tensor, list[Assignment]]:
         """Run a pack of bags through the layer stack, pooling and task head.

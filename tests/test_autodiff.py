@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,18 @@ class TestBackward:
         assert x.grad is not None
         ad.zero_grad([x])
         assert x.grad is None
+
+    @pytest.mark.parametrize("owned", [False, True], ids=["plain", "optimizer-owned"])
+    def test_gradient_of_another_shape_rejected(self, owned):
+        # a rule handing a (3, 2) tensor a (2,) gradient: ``+`` and a copy
+        # into the optimizer's slice would both broadcast it
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        if owned:
+            Adam({"w": w}, lr=0.1)
+        out = ad._make(w.data.sum(axis=0), (w,), "column_sum", lambda g: ad._accum(w, g))
+        with pytest.raises(GraphError, match=r"\(2,\).*'leaf'.*\(3, 2\)"):
+            ad.backward(out, np.ones(2))
+        assert w.grad is None
 
 
 _W1, _W2 = np.arange(8.0).reshape(4, 2), np.cos(np.arange(8.0)).reshape(4, 2)
@@ -263,6 +276,89 @@ class TestAdam:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(OptimizerError, match="'p'"):
             Adam({"p": p}, lr=0.1).step()
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 1 << 15])
+    def test_blocks_step_every_parameter_by_the_formula(self, block, monkeypatch):
+        # parameters of 12, 5 and 12 values cut across blocks of the flat vectors
+        monkeypatch.setattr(ad, "_STEP_BLOCK", block)
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(7)
+        params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 3, 2)))}
+        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        ref = {name: [p.data.copy(), 0.0, 0.0] for name, p in params.items()}
+        for t in range(1, 5):
+            for name, p in params.items():
+                g = rng.standard_normal(p.shape)
+                ad._accum(p, g)
+                data, m, v = ref[name]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                data = data - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                ref[name] = [data, m, v]
+            opt.step()
+            opt.zero_grad()
+            for name, p in params.items():
+                data, m, v = ref[name]
+                assert np.array_equal(p.data, data), (t, name)
+                assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)
+
+    def test_owned_gradient_is_one_slice_that_each_backward_overwrites(self):
+        x = Tensor([[1.0, 2.0]])
+        w = Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam({"w": w, "b": b}, lr=0.1)
+        ad.backward(ad.linear(x, w, b), [[1.0, 2.0]])
+        slot, kept = w.grad, w.grad.copy()
+        opt.zero_grad()
+        assert w.grad is None
+        ad.backward(ad.linear(x, w, b), [[3.0, 5.0]])
+        assert w.grad is slot
+        assert np.array_equal(w.grad, [[3.0, 5.0], [6.0, 10.0]])
+        assert np.array_equal(kept, [[1.0, 2.0], [2.0, 4.0]])
+        # without zero_grad the next backward adds in place: the bits of grad + g
+        ad.backward(ad.linear(x, w, b), [[0.1, 0.2]])
+        assert w.grad is slot
+        assert np.array_equal(w.grad, np.array([[3.0, 5.0], [6.0, 10.0]])
+                              + np.array([[1.0], [2.0]]) * [[0.1, 0.2]])
+
+    def test_a_parameter_joins_one_optimizer(self):
+        p = Tensor([1.0], requires_grad=True)
+        Adam({"p": p}, lr=0.1)
+        with pytest.raises(OptimizerError, match="'p'"):
+            Adam({"p": p}, lr=0.1)
+        q, r = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        with pytest.raises(OptimizerError, match="'b'"):
+            Adam({"a": q, "b": q, "c": r}, lr=0.1)
+        # the refused optimizer took no parameter
+        assert q._grad_slot is None and r._grad_slot is None
+        Adam({"a": q, "c": r}, lr=0.1)
+
+    def test_hand_gradient_of_another_shape_rejected(self):
+        p = Tensor(np.ones((3, 2)), requires_grad=True)
+        opt = Adam({"p": p}, lr=0.1)
+        p.grad = np.ones(2)
+        with pytest.raises(GraphError, match=r"\(2,\).*'p'.*\(3, 2\)"):
+            opt.step()
+        assert opt.t == 0 and np.array_equal(p.data, np.ones((3, 2)))
+
+    def test_step_allocates_no_temporary_as_long_as_the_vectors(self):
+        # 2.1 M values, about the slide-size model: each temporary of the
+        # whole length would be 16 MiB
+        params = {f"p{i}": Tensor(np.zeros((1024, 1024)), requires_grad=True) for i in range(2)}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            ad._accum(p, np.broadcast_to(0.5, p.shape))
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        # every block was stepped: a constant gradient moves each value by about lr
+        for p in params.values():
+            assert np.allclose(p.data, -0.1, rtol=0.0, atol=1e-6)
 
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from mico import autodiff as ad
 from mico import model as mm
-from mico.autodiff import Tensor
+from mico.autodiff import Adam, Tensor
 from mico.checkpoint import load_checkpoint, save_checkpoint
 from mico.errors import (
     ChecksumError,
@@ -286,7 +286,7 @@ class TestActivations:
     def test_gelu_slope_matches_finite_differences(self):
         xa = np.random.default_rng(17).uniform(-3, 3, size=20)
         numeric = fd_grad(lambda: float(mm._gelu(xa).sum()), xa)
-        assert max_rel_err(mm._gelu_slope(xa), numeric) < 1e-6
+        assert max_rel_err(mm._gelu_and_slope(xa)[1], numeric) < 1e-6
 
     def test_sigmoid_is_stable_at_the_extremes(self):
         x = np.array([-800.0, -30.0, -0.0, 0.0, 0.7, 30.0, 800.0])
@@ -534,6 +534,21 @@ class TestCheckpoint:
         path2 = tmp_path / "m2.mico"
         save_checkpoint(str(path2), cfg2, state)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_load_keeps_parameters_in_their_optimizer(self):
+        # a load copies into the arrays the optimizer steps, so the step
+        # after it moves the loaded values, not ones the model no longer reads
+        model = small_model()
+        opt = Adam(model.params, lr=0.1)
+        views = {name: p.data for name, p in model.params.items()}
+        state = {name: arr + 1.0 for name, arr in model.state_arrays().items()}
+        model.load_state_arrays(state)
+        for name, p in model.params.items():
+            assert p.data is views[name] and np.array_equal(p.data, state[name])
+            p.grad = np.ones(p.shape)
+        opt.step()
+        for name, p in model.params.items():
+            assert np.allclose(p.data, state[name] - 0.1, rtol=0.0, atol=1e-6), name
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.mico"

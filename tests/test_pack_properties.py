@@ -65,7 +65,7 @@ def test_packed_group_gradient_equals_sum_of_per_bag_gradients(case):
     params = model.trainable_params()
     for bag in bags:
         ad.backward(_pack_loss(model, [bag], edges)[0])
-    expected = {name: p.grad for name, p in params.items()}
+    expected = {name: p.grad.copy() for name, p in params.items()}
     ad.zero_grad(model.params.values())
     ad.backward(_pack_loss(model, bags, edges)[0])
     for name, p in params.items():

@@ -240,7 +240,7 @@ def test_forward_without_backward_frees_the_tape(task, mode):
 def test_backward_frees_intermediates_while_loss_lives(task, mode):
     model, bag = _model_and_bag(task)
     ad.backward(_pack_loss(model, [bag], EDGES, assign_mode=mode)[0])
-    expected = {name: p.grad for name, p in model.params.items()}
+    expected = {name: p.grad.copy() for name, p in model.params.items()}
     ad.zero_grad(model.params.values())
 
     with no_cycle_collector():

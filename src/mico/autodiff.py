@@ -148,6 +148,22 @@ class Segments:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient of ``t``.
+
+    An op output's gradient belongs to the tape, so its first gradient is
+    taken over without a copy and later ones are added in place (the bits of
+    ``t.grad + g``). That is sound because every rule hands ``_accum`` a
+    fresh array, held by no one else, with one exception: ``ste_assign``
+    hands on its upstream gradient, and ``backward`` drops that gradient
+    right after the rule runs. A leaf copies its first gradient and adds
+    later ones out of place, so a caller may keep a ``grad`` it read; an
+    optimizer-owned leaf writes into its slot of the flat gradient vector.
+
+    ``+`` makes a C-ordered array of operands whose layouts differ, such as
+    an F-ordered gradient (a transposed view) and a C-ordered one. Later
+    rules sum along rows, and the bits of a sum follow the layout, so such a
+    sum is still made out of place.
+    """
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
@@ -155,13 +171,16 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         raise GraphError(f"backward: gradient of shape {g.shape} for a {t._op!r} tensor "
                          f"of shape {t.data.shape}")
     if t.grad is None:
-        if t._grad_slot is None:
-            t.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
+        if t._grad_slot is not None:
             np.copyto(t._grad_slot, g)
             t.grad = t._grad_slot
-    elif t.grad is t._grad_slot:
-        t.grad += g   # the bits of ``t.grad + g``, with no new array
+        elif t._op == "leaf":
+            t.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            t.grad = g
+    elif t.grad is t._grad_slot or (
+            t._op != "leaf" and (t.grad.flags.c_contiguous or t.grad.strides == g.strides)):
+        t.grad += g   # the bits and layout of ``t.grad + g``, with no new array
     else:
         t.grad = t.grad + g
 
@@ -208,7 +227,8 @@ def backward(root: Tensor, grad=None) -> None:
 
     ``grad`` seeds the walk with an upstream gradient of ``root``'s shape;
     omitted, it is 1 and ``root`` must be a scalar."""
-    seed = np.asarray(1.0 if grad is None else grad, dtype=np.float64)
+    # a copy: the root's gradient belongs to the tape, not to the caller
+    seed = np.array(1.0 if grad is None else grad, dtype=np.float64)
     if seed.shape != root.data.shape:
         raise GraphError(f"backward: seed of shape {seed.shape} for a root of shape "
                          f"{root.data.shape} (without a seed the root must be scalar)")

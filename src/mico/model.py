@@ -153,11 +153,11 @@ def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments) -> Tensor:
         _zero_norm_clamps += n_clamped
     u = np.maximum(u, NORM_CLAMP)
     v = np.maximum(v, NORM_CLAMP)
-    Hn = H.data / u[:, None]
     Sn = S.data / v[:, None]
-    A = seg.matmul(Hn, Sn, trans_y=True)
+    A = seg.matmul(H.data / u[:, None], Sn, trans_y=True)
 
     def bw(g):
+        Hn = H.data / u[:, None]
         gA = g * A
         _accum(H, (seg.matmul(g, Sn) - Hn * gA.sum(axis=1)[:, None]) / u[:, None])
         _accum(S, (seg.outer(g, Hn) - Sn * seg.sum(gA).reshape(-1)[:, None]) / v[:, None])
@@ -281,27 +281,41 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The fused layers below are one tape node each. A node keeps its inputs and
-# the pre-activations of its MLP or gates; backward recomputes the elementwise
-# activations from them and never repeats a matmul.
+# The fused layers below are one tape node each. Besides its inputs and
+# output, a node keeps only what its backward cannot rebuild cheaply with the
+# same bits as the forward's:
+#
+#   node                  keeps                      rebuilds in backward
+#   cosine_alignment      row norms u, v; Sn (K, d)  Hn = H / u
+#   route_update          MLP pre-activation P       X = H + A_hat S_agg (one
+#                                                    (M, K) x (K, d) matmul)
+#                                                    gelu(P) and its slope
+#   cluster_reduce        MLP pre-activation P       gelu(P) and its slope
+#   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product
+#
+# Only route_update repeats a matmul, a K-wide one, against the two d-wide
+# matmuls of its MLP that it keeps P to avoid.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g)`` accumulates
-    the four weight gradients for the upstream gradient g of Y and returns
-    the gradient of X."""
+    """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, X)`` takes the
+    upstream gradient g of Y and the same X again, accumulates the four
+    weight gradients and returns the gradient of X."""
     P = X @ w1.data
     P += b1.data
     Y = _gelu(P) @ w2.data
     Y += b2.data
 
-    def bw(g):
-        gP = g @ w2.data.T
+    def bw(g, X):
+        # act and slope are freed before the next (N, h) array is made
         act, slope = _gelu_and_slope(P)
-        gP *= slope
-        _accum(w1, X.T @ gP)
-        _accum(b1, gP.sum(axis=0))
         _accum(w2, act.T @ g)
         _accum(b2, g.sum(axis=0))
+        del act
+        gP = g @ w2.data.T
+        gP *= slope
+        del slope
+        _accum(w1, X.T @ gP)
+        _accum(b1, gP.sum(axis=0))
         return gP @ w1.data.T
 
     return Y, bw
@@ -312,14 +326,14 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  seg: ad.Segments) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    X = H.data + seg.matmul(A_hat.data, S_agg.data)
-    Y, mlp_bw = _gelu_mlp(X, w1, b1, w2, b2)
+    Y, mlp_bw = _gelu_mlp(H.data + seg.matmul(A_hat.data, S_agg.data), w1, b1, w2, b2)
 
     def bw(g):
-        gX = mlp_bw(g)
-        _accum(H, g + gX)
+        gX = mlp_bw(g, H.data + seg.matmul(A_hat.data, S_agg.data))
         _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
         _accum(S_agg, seg.outer(A_hat.data, gX))
+        gX += g   # the bits of ``g + gX``
+        _accum(H, gX)
 
     return _make(H.data + Y, (H, A_hat, S_agg, w1, b1, w2, b2), "route_update", bw)
 
@@ -348,7 +362,8 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     Y, mlp_bw = _gelu_mlp(_block_transpose(S_agg.data, bags), r1, rb1, r2, rb2)
 
     def bw(g):
-        _accum(S_agg, _block_transpose(mlp_bw(_block_transpose(g, bags)), bags))
+        gX = mlp_bw(_block_transpose(g, bags), _block_transpose(S_agg.data, bags))
+        _accum(S_agg, _block_transpose(gX, bags))
 
     return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)
 
@@ -357,27 +372,41 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
                          seg: ad.Segments) -> tuple[Tensor, np.ndarray]:
     """Gated attention over each bag's instances; returns the (B, d) pooled
     features and the attention weights (which sum to 1 within each bag)."""
-    PV = H.data @ V.data
-    PU = H.data @ U.data
-    scores = ((np.tanh(PV) * _sigmoid(PU)) @ w.data).reshape(-1)
+    a = H.data @ V.data
+    np.tanh(a, out=a)
+    b = _sigmoid(H.data @ U.data)
+    scores = ((a * b) @ w.data).reshape(-1)
     e = np.exp(scores - seg.spread(seg.max(scores)))
     attn = e / seg.spread(seg.sum(e))
 
     def bw(g):
-        g_attn = attn * (H.data * seg.spread(g)).sum(axis=1)
+        # in place, so that at most four (N, h) or (N, d) temporaries live at
+        # once; ``x *= y`` has the bits of ``y * x``
+        g_attn = seg.spread(g)
+        g_attn *= H.data
+        g_attn = attn * g_attn.sum(axis=1)
         g_scores = g_attn - attn * seg.spread(seg.sum(g_attn))
-        a, b = np.tanh(PV), _sigmoid(PU)
         gate = a * b
-        g_gate = g_scores[:, None] * w.data.T
-        gPV = g_gate * b
-        gPV *= 1.0 - a * a
-        gPU = g_gate * a
-        gPU *= b * (1.0 - b)
-        # g spread again, not held as an (N, d) copy through the gate gradients
-        _accum(H, attn[:, None] * seg.spread(g) + gPV @ V.data.T + gPU @ U.data.T)
-        _accum(V, H.data.T @ gPV)
-        _accum(U, H.data.T @ gPU)
         _accum(w, gate.T @ g_scores[:, None])
+        g_gate = np.multiply(g_scores[:, None], w.data.T, out=gate)
+        slope = a * a
+        np.subtract(1.0, slope, out=slope)      # d tanh = 1 - a^2
+        gPV = g_gate * b
+        gPV *= slope
+        del slope
+        gH = seg.spread(g)
+        gH *= attn[:, None]
+        gH += gPV @ V.data.T
+        _accum(V, H.data.T @ gPV)
+        del gPV
+        slope = 1.0 - b
+        slope *= b                              # d sigmoid = b (1 - b)
+        gPU = np.multiply(g_gate, a, out=g_gate)
+        gPU *= slope
+        del slope
+        gH += gPU @ U.data.T
+        _accum(H, gH)
+        _accum(U, H.data.T @ gPU)
 
     pooled = _make(seg.sum(attn[:, None] * H.data), (H, V, U, w), "gated_attention_pool", bw)
     return pooled, attn

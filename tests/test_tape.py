@@ -8,6 +8,7 @@ in a reference cycle stays alive and fails them.
 import contextlib
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -277,3 +278,36 @@ def test_a_training_pack_records_at_most_12_nodes(task, grad_accum, monkeypatch)
                       grad_accum=grad_accum, n_folds=1), bags)
     assert grad_accum in packs and len(nodes) == len(packs)
     assert max(nodes) <= 12 and len(set(nodes)) == 1, nodes
+
+
+MIB = 1 << 20
+
+
+def test_slide_size_tape_and_backward_peak_fit_their_budgets():
+    # one slide-size bag, a pack of one: M = 1024 instances, d = h = 512,
+    # K = 64 anchors halved over L = 3 layers, gated attention, subtype.
+    # Each route_update keeps its (M, d) output and (M, h) MLP
+    # pre-activation, and the pool tanh(PV) and sigmoid(PU), (M, h) each:
+    # 3 * (4 + 4) + 2 * 4 = 32 MiB, plus 3.25 MiB of (M, K) alignments and
+    # assignments and anchor-sized arrays. Keeping Hn and X as well
+    # held 24 MiB more (59.2 MiB), and its backward peaked 91.3 MiB above
+    # the live set. The gradients go to the optimizer's flat vector, as in
+    # training, so the peak counts the tape and backward's temporaries.
+    rng = np.random.default_rng(0)
+    model = MicoModel(MicoConfig(d=512, anchors=64, layers=3, task="subtype"), rng=rng)
+    opt = ad.Adam(model.trainable_params(), lr=1e-3)
+    bag = FeatureBag(bag_id="b", features=rng.standard_normal((1024, 512)),
+                     label=SubtypeLabel(class_index=1))
+    opt.zero_grad()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        loss = _pack_loss(model, [bag], None)[0]
+        tape = tracemalloc.get_traced_memory()[0] - live
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert tape <= 36 * MIB, f"tape {tape / MIB:.1f} MiB"
+    assert peak <= 58 * MIB, f"backward peak {peak / MIB:.1f} MiB"

@@ -50,6 +50,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         name = r.text(name_len, "name")
         (rank,) = r.unpack("<B", "rank")
         shape = r.unpack(f"<{rank}Q", "shape")
+        if name in params:
+            raise HeaderError(f"{path}: parameter {name!r} appears twice")
         params[name] = r.array("<f8", shape, f"payload of {name!r}")
     r.done()
     return config, params

@@ -74,7 +74,11 @@ class Reader:
     def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
         dt = np.dtype(dtype)
         raw = self._take(math.prod(shape) * dt.itemsize, what)
-        return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        try:
+            # an empty array may still declare dimensions NumPy cannot hold
+            return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        except ValueError as exc:
+            raise HeaderError(f"{self._path}: {what} has impossible shape {shape}") from exc
 
     def done(self) -> None:
         left = len(self._body) - self._off

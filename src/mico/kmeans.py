@@ -36,50 +36,71 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _groups(labels: np.ndarray, count: int):
-    """(j, the positions holding label j in index order) for each label j in
-    range(count) that occurs."""
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=count))
-    start = 0
-    for j, end in enumerate(ends):
+    """Sort positions by label, for labels in range(count). Returns the
+    stable order, each label's count, and (j, start, end) for each label j
+    that occurs: order[start:end] holds j's positions in index order."""
+    # the narrowest unsigned key that holds count - 1 gives the same stable
+    # order, and NumPy sorts keys of 16 bits or less by radix
+    order = np.argsort(labels.astype(np.min_scalar_type(count - 1)), kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    spans, start = [], 0
+    for j, end in enumerate(np.cumsum(sizes).tolist()):
         if end > start:
-            yield j, order[start:end]
+            spans.append((j, start, end))
         start = end
+    return order, sizes, spans
 
 
 def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
-            centers: np.ndarray) -> np.ndarray:
+            centers: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
     """The argmin over centers of ``_sq_dists(points, centers)``, exactly.
 
-    The distances are first taken as ‖x‖² − 2·x·c + ‖c‖², one matmul. Both
-    that form and the per-center loop are within γ_{d+2}·(‖x‖ + ‖c‖)² of the
-    true distance, γ_m = m·u/(1 − m·u) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, §3.1), so they differ by less than
-    E = 2·γ_{d+4}·(‖x‖ + max‖c‖)²; the extra terms in γ and a few subnormal
-    spacings cover the rounding of E, of the gap and of any underflow. A row
-    whose second-best distance exceeds its best by more than 2E has the
-    loop's argmin. Every other row (near-ties, duplicate centers, overflow)
-    is recomputed with the loop, which breaks ties toward the lower index.
+    All (k, n) distances are first taken as ‖x‖² − 2·c·x + ‖c‖², one matmul
+    into ``dist`` (a (k, n) block a caller may reuse across calls). Both
+    that form and the per-center loop are within γ_{d+2}·(‖x‖ + ‖c‖)² of
+    the true distance, γ_m = m·u/(1 − m·u) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §3.1), so they differ by less than
+    E₀ = 2·γ_{d+2}·S², S = ‖x‖ + max‖c‖. The code's E = 2·γ_{d+4}·S² plus a
+    few subnormal spacings (which cover any underflow) is larger:
+    2E − 2E₀ = 4·(γ_{d+4} − γ_{d+2})·S² ≥ 8u·S².
+
+    A row is certified when exactly one center lies within 2E of the row's
+    minimum ``best``: dist ≤ fl(best + 2E). That center is the minimum's.
+    Any other center j has dist_j > fl(best + 2E) ≥ best + 2E − u·|best + 2E|,
+    where |best| ≤ S² + E₀, so u·|best + 2E| < u·S²·(1 + 6γ_{d+4}). That and
+    the few roundings in E itself (a few u of E) stay below the slack 8u·S²,
+    so dist_j − best > 2E₀, and the loop's distance to j exceeds its
+    distance to the certified center: the loop's argmin. (The same slack
+    covered the rounding of the gap second − best, also below
+    u·S²·(1 + 6γ_{d+4}), where the bound used to take that gap.) Every other
+    row is recomputed with the loop, which breaks ties toward the lower
+    index: near-ties, duplicate centers, an exact tie in the matmul form
+    whichever index its minimum would fall on, and any row whose bound is
+    not finite (an overflowing norm or cross term, or a NaN, which
+    ``np.minimum`` passes on).
     """
     n, d = points.shape
+    k = centers.shape[0]
+    if dist is None:
+        dist = np.empty((k, n))
     center_sq_norms = _row_sq_norms(centers)
-    rows = np.arange(n)
-    # an overflowing norm makes its row's gap or bound inf or NaN, which
-    # leaves the row to the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = points @ centers.T
-        dist *= -2.0
-        dist += point_sq_norms[:, None]
-        dist += center_sq_norms
-        best = np.argmin(dist, axis=1)
-        best_d2 = dist[rows, best]
-        dist[rows, best] = np.inf
-        gap = dist.min(axis=1) - best_d2
+        np.matmul(centers * -2.0, points.T, out=dist)
+        dist += point_sq_norms
+        dist += center_sq_norms[:, None]
         floor = d * _SUBNORMAL
         scale = np.sqrt(point_sq_norms + floor) + np.sqrt(center_sq_norms.max() + floor)
         gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
         err = 2 * gamma * scale * scale + 8 * (d + 2) * _SUBNORMAL
-        open_rows = np.flatnonzero(~(gap > 2 * err))
+        bound = np.minimum.reduce(dist, axis=0)
+        bound += 2 * err
+        near = (dist <= bound).view(np.uint8)
+    # counts and indices fit the narrowest unsigned type that holds k
+    key = np.min_scalar_type(k)
+    count = np.add.reduce(near, axis=0, dtype=key)
+    # a certified row's one near center; other rows are overwritten below
+    best = np.einsum("k,kn->n", np.arange(k, dtype=key), near).astype(np.intp)
+    open_rows = np.flatnonzero((count != 1) | ~np.isfinite(bound))
     if open_rows.size:
         best[open_rows] = np.argmin(_sq_dists(points[open_rows], centers), axis=1)
     return best
@@ -119,12 +140,30 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _recenter(centers: np.ndarray, points: np.ndarray, assignments: np.ndarray) -> None:
-    """Move every center that has assigned points, in place, to their mean.
-    Each mean sums the same array, in the same order, as
-    ``points[assignments == j]``."""
-    for j, rows in _groups(assignments, centers.shape[0]):
-        centers[j] = points[rows].mean(axis=0)
+def _lloyd_pass(points: np.ndarray, centers: np.ndarray,
+                assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the rows gathered into label order. Returns the
+    centers moved to the mean of their rows (a center with no rows keeps
+    its place), each row's squared distance to its center in ``centers``,
+    and each center's row count.
+
+    A label's rows form one contiguous block of the gathered copy, with the
+    contents and layout of ``points[assignments == j]``, so its mean has
+    that array's bits. The block is then shifted in place by its center,
+    and one ``einsum`` gives every row the bits of its ``_sq_dists`` entry.
+    """
+    order, sizes, spans = _groups(assignments, centers.shape[0])
+    grouped = points[order]
+    means = centers.copy()
+    # an overflowing distance raises DataError in fit's loop
+    with np.errstate(over="ignore"):
+        for j, start, end in spans:
+            block = grouped[start:end]
+            means[j] = block.mean(axis=0)
+            block -= centers[j]
+        point_d2 = np.empty(len(order))
+        point_d2[order] = _row_sq_norms(grouped)
+    return means, point_d2, sizes
 
 
 def fit(instances: np.ndarray, k: int, max_iters: int = 100,
@@ -135,7 +174,7 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
     ``max_iters`` Lloyd iterations. Empty clusters are re-seeded to the point
     currently farthest from its assigned center, so exactly ``k`` centers
     always survive. Features whose squared distances overflow raise
-    DataError. Temporaries are (n, k) and (n, d), never (n, k, d).
+    DataError. Temporaries are (k, n) and (n, d), never (n, k, d).
     """
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -149,24 +188,20 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
     rng = np.random.default_rng(seed)
     centers = _plus_plus_seed(X, k, rng)
     x_sq_norms = _row_sq_norms(X)
+    dist = np.empty((k, n))
     history: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
     iters = 0
 
     for iters in range(1, max_iters + 1):
-        assignments = _assign(X, x_sq_norms, centers)
-        # each row's _sq_dists entry at its center, bit for bit
-        with np.errstate(over="ignore"):
-            point_d2 = _row_sq_norms(X - centers[assignments])
+        assignments = _assign(X, x_sq_norms, centers, dist)
+        new_centers, point_d2, sizes = _lloyd_pass(X, centers, assignments)
         inertia = float(point_d2.sum())
         if not np.isfinite(inertia):
             raise DataError(_OVERFLOW)
         history.append(inertia)
 
-        new_centers = centers.copy()
-        _recenter(new_centers, X, assignments)
         # repair empty clusters with the globally worst-fit point
-        for j in np.flatnonzero(np.bincount(assignments, minlength=k) == 0):
+        for j in np.flatnonzero(sizes == 0):
             far = int(np.argmax(point_d2))
             new_centers[j] = X[far]
             point_d2[far] = 0.0
@@ -179,8 +214,8 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
 
     # final pass so that every returned center is exactly the mean of its
     # assigned points (clusters left empty by the last update keep their center)
-    assignments = _assign(X, x_sq_norms, centers)
-    _recenter(centers, X, assignments)
+    assignments = _assign(X, x_sq_norms, centers, dist)
+    centers = _lloyd_pass(X, centers, assignments)[0]
     return KMeansResult(centers=centers, assignments=assignments,
                         inertia_history=history, iterations_run=iters)
 
@@ -204,6 +239,8 @@ def subsample_pool(bags, cap: int, seed: int = 0) -> np.ndarray:
     idx = rng.permutation(n)[:take]
     owner = np.searchsorted(starts, idx, side="right") - 1
     pool = np.empty((take, widths.pop()))
-    for b, picked in _groups(owner, len(features)):
+    order, _, spans = _groups(owner, len(features))
+    for b, start, end in spans:
+        picked = order[start:end]
         pool[picked] = features[b][idx[picked] - starts[b]]
     return pool

@@ -11,6 +11,18 @@ from .errors import DataError, UndefinedMetricError
 from .losses import SubtypeLabel, SurvivalLabel
 
 
+# Pair counts run over blocks of rows, so the boolean temporaries stay near
+# 2 MiB each whatever the sample count. Every count is an integer and every
+# credit a multiple of 0.5, so the result has the bits of one (n, n) pass.
+_PAIR_BLOCK = 1 << 21
+
+
+def _row_blocks(rows: int, cols: int):
+    step = max(1, _PAIR_BLOCK // cols)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
 def c_index(risks, labels: list[SurvivalLabel]) -> float:
     """Concordance over comparable pairs.
 
@@ -25,13 +37,15 @@ def c_index(risks, labels: list[SurvivalLabel]) -> float:
     t = np.array([lab.time for lab in labels])
     e = np.array([lab.event for lab in labels], dtype=bool)
 
-    comparable = (t[:, None] < t[None, :]) & e[:, None]
-    n_pairs = int(comparable.sum())
+    n_pairs = concordant = ties = 0
+    for rows in _row_blocks(r.size, r.size):
+        comparable = (t[rows, None] < t) & e[rows, None]
+        n_pairs += np.count_nonzero(comparable)
+        concordant += np.count_nonzero(comparable & (r[rows, None] > r))
+        ties += np.count_nonzero(comparable & (r[rows, None] == r))
     if n_pairs == 0:
         raise UndefinedMetricError("c_index: no comparable pairs")
-    concordant = (r[:, None] > r[None, :]).astype(np.float64)
-    concordant += 0.5 * (r[:, None] == r[None, :])
-    return float((comparable * concordant).sum() / n_pairs)
+    return float((concordant + 0.5 * ties) / n_pairs)
 
 
 def binary_auc(scores, labels) -> float:
@@ -42,8 +56,10 @@ def binary_auc(scores, labels) -> float:
     neg = s[y == 0]
     if pos.size == 0 or neg.size == 0:
         raise UndefinedMetricError("auc: both classes must be present")
-    greater = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
+    greater = ties = 0
+    for rows in _row_blocks(pos.size, neg.size):
+        greater += np.count_nonzero(pos[rows, None] > neg)
+        ties += np.count_nonzero(pos[rows, None] == neg)
     return float((greater + 0.5 * ties) / (pos.size * neg.size))
 
 

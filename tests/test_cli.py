@@ -1,12 +1,14 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from mico import checkpoint, framing
 from mico.checkpoint import save_checkpoint
 from mico.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from mico.data import FeatureBag, read_bag, write_bag
@@ -121,6 +123,29 @@ class TestExitCodes:
         ckpt = make_checkpoint(tmp_path, config=config, drop=drop)
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data_dir]) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,shape,message", [
+        ("z", (0, 2 ** 62), "impossible shape"),
+        ("head.b", (2,), "appears twice"),
+    ], ids=["impossible-shape", "repeated-name"])
+    def test_checkpoint_with_a_bad_parameter_record_returns_data_error(
+            self, tmp_path, capsys, name, shape, message):
+        # a CRC-valid checkpoint with one more parameter record appended
+        data_dir = make_dataset(tmp_path)
+        ckpt = make_checkpoint(tmp_path)
+        with open(ckpt, "rb") as f:
+            body = f.read()[len(checkpoint.MAGIC):-4]
+        (cfg_len,) = struct.unpack_from("<I", body)
+        at = 4 + cfg_len
+        (count,) = struct.unpack_from("<I", body, at)
+        record = (struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
+                  + struct.pack(f"<{len(shape)}Q", *shape) + bytes(8 * int(np.prod(shape))))
+        body = body[:at] + struct.pack("<I", count + 1) + body[at + 4:] + record
+        framing.write_framed(ckpt, checkpoint.MAGIC, body)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data_dir]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_checkpoint_with_a_retired_config_field_still_loads(self, tmp_path, capsys):
         # MicoConfig held ablate_kmeans_init until the model stopped reading it

@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from mico import checkpoint, data
+from mico import checkpoint, data, framing
 from mico.checkpoint import load_checkpoint, save_checkpoint
 from mico.data import SynthConfig, generate, read_bag, write_bag
 from mico.errors import ChecksumError, DataError, HeaderError, TruncationError
@@ -107,3 +107,47 @@ def test_invalid_utf8_parameter_name_with_valid_crc_raises_header_error(tmp_path
 def test_missing_file_raises_data_error(tmp_path, reader):
     with pytest.raises(DataError):
         reader(str(tmp_path / "absent"))
+
+
+def checkpoint_body(params) -> bytes:
+    """The body of a MICO1 checkpoint holding ``params``, a list of
+    (name, shape, payload bytes), written field by field so that a test
+    can declare what `save_checkpoint` never would."""
+    cfg = b"{}"
+    parts = [struct.pack("<I", len(cfg)), cfg, struct.pack("<I", len(params))]
+    for name, shape, payload in params:
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", len(shape)),
+                  struct.pack(f"<{len(shape)}Q", *shape), payload]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("shape", [(0, 2 ** 62), (2 ** 62, 0), (0, 2 ** 64 - 1), (1,) * 65],
+                         ids=["0x2^62", "2^62x0", "0x2^64-1", "rank65"])
+def test_impossible_parameter_shape_with_valid_crc_raises_header_error(tmp_path, shape):
+    # the payload these shapes declare fits the file; NumPy cannot hold the array
+    payload = b"" if 0 in shape else struct.pack("<d", 1.0)
+    path = tmp_path / "m.mico"
+    framing.write_framed(str(path), checkpoint.MAGIC, checkpoint_body([("w", shape, payload)]))
+    with pytest.raises(HeaderError, match="shape"):
+        load_checkpoint(str(path))
+
+
+def test_repeated_parameter_name_with_valid_crc_raises_header_error(tmp_path):
+    one = struct.pack("<d", 1.0)
+    path = tmp_path / "m.mico"
+    framing.write_framed(str(path), checkpoint.MAGIC,
+                         checkpoint_body([("w", (1,), one), ("b", (1,), one), ("w", (1,), one)]))
+    with pytest.raises(HeaderError, match="'w' appears twice"):
+        load_checkpoint(str(path))
+
+
+def test_declared_features_beyond_the_file_raise_truncation_error(tmp_path):
+    # M = d = 2^32 - 1 rows of float64 with valid CRC: far more than the body holds
+    bag_id = b"b"
+    body = (struct.pack("<H", len(bag_id)) + bag_id + struct.pack("<II", 2 ** 32 - 1, 2 ** 32 - 1)
+            + struct.pack("<Bi", data._KIND_SUBTYPE, 0) + struct.pack("<B", 0))
+    path = tmp_path / "b.mbag"
+    framing.write_framed(str(path), data.MAGIC, body)
+    with pytest.raises(TruncationError, match="features"):
+        read_bag(str(path))

@@ -202,6 +202,42 @@ def test_fit_equals_the_per_center_lloyd_loop(case):
     assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
 
 
+@st.composite
+def wide_fit_cases(draw):
+    """(X, k, seed) with k >= 256 centers and n in the thousands: labels
+    that no longer fit one byte, and a (k, n) block with k far above d."""
+    k = draw(st.integers(256, 320))
+    n = draw(st.integers(1000, 3000))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, d))
+    kind = draw(st.sampled_from(["random", "duplicates", "grid"]))
+    if kind == "duplicates":
+        X = X[rng.integers(0, draw(st.integers(k // 2, 2 * k)), n)]
+    elif kind == "grid":
+        X = np.round(X * 2)
+    return X, k, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(wide_fit_cases())
+def test_fit_equals_the_per_center_lloyd_loop_with_many_centers(case):
+    X, k, seed = case
+    assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
+
+
+def test_fit_temporaries_stay_within_a_quarter_over_n_by_k_plus_n_by_d():
+    n, k, d = 4000, 64, 32
+    X = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        kmeans.fit(X, k=k, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * (k + d) * 8
+
+
 class TestCertifiedAssignment:
     @pytest.mark.parametrize("n,k,d,seed", [(2048, 64, 512, 0), (5648, 16, 32, 1),
                                             (300, 7, 3, 2)])
@@ -214,6 +250,16 @@ class TestCertifiedAssignment:
         rng = np.random.default_rng(3)
         X = 1e155 * (1.0 + 1e-3 * rng.standard_normal((40, 8)))
         assert_same_fit(kmeans.fit(X, 4, seed=1), oracle_fit(X, 4, seed=1))
+
+    def test_overflowing_cross_term_falls_back_to_the_loop(self):
+        # every norm is finite, but -2·x·c overflows to -inf for the farther
+        # center, so the matmul form's minimum is -inf and certifies nothing
+        X = np.array([[1.0e154]])
+        C = np.array([[1.34e154], [0.85e154]])
+        assert np.argmin(kmeans._sq_dists(X, C)[0]) == 1
+        assert kmeans._assign(X, kmeans._row_sq_norms(X), C)[0] == 1
+        X = np.array([[1.34e154], [1.0e154], [0.85e154], [0.8e154]])
+        assert_same_fit(kmeans.fit(X, 2, seed=0), oracle_fit(X, 2, seed=0))
 
     def test_exact_tie_goes_to_the_lower_index(self):
         # x is equally far from both centers under the loop, while the

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mico import autodiff as ad
+from mico import metrics
 from mico.autodiff import Tensor
 from mico.errors import ConfigError, DataError, UndefinedMetricError
 from mico.losses import (
@@ -258,6 +260,67 @@ class TestAuc:
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):
             binary_auc([0.1, 0.2], [1, 1])
+
+
+def full_matrix_c_index(risks, labels):
+    """c_index as one (n, n) pass over every pair, as it was computed before
+    the pairs ran in blocks of rows."""
+    r = np.asarray(risks, dtype=np.float64)
+    t = np.array([lab.time for lab in labels])
+    e = np.array([lab.event for lab in labels], dtype=bool)
+    comparable = (t[:, None] < t[None, :]) & e[:, None]
+    concordant = (r[:, None] > r[None, :]).astype(np.float64)
+    concordant += 0.5 * (r[:, None] == r[None, :])
+    return float((comparable * concordant).sum() / int(comparable.sum()))
+
+
+def full_matrix_auc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    pos, neg = s[y == 1], s[y == 0]
+    greater = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((greater + 0.5 * ties) / (pos.size * neg.size))
+
+
+def tied_survival_sample(rng, n):
+    risks = np.round(rng.standard_normal(n), 1)
+    times = np.round(rng.exponential(size=n), 1) + 0.1
+    times[0] = 0.0   # an event before every other time: comparable pairs exist
+    events = rng.random(n) < 0.7
+    events[0] = True
+    return risks, [SurvivalLabel(float(t), bool(ev)) for t, ev in zip(times, events)]
+
+
+class TestBlockedPairCounts:
+    """c_index and binary_auc count pairs a block of rows at a time; the
+    result must equal the one (n, n) pass bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 97, None], ids=["rows-of-1", "97-pairs", "default"])
+    def test_equals_the_full_pair_matrix(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 50, 1501):
+            risks, labels = tied_survival_sample(rng, n)
+            assert c_index(risks, labels) == full_matrix_c_index(risks, labels)
+            classes = rng.integers(0, 2, size=n)
+            classes[:2] = (0, 1)
+            assert binary_auc(risks, classes) == full_matrix_auc(risks, classes)
+
+    def test_temporaries_stay_under_8_mib_at_3000_samples(self):
+        # the full (n, n) pass peaked at 155 MiB here
+        rng = np.random.default_rng(9)
+        risks, labels = tied_survival_sample(rng, 3000)
+        classes = np.arange(3000) % 2
+        tracemalloc.start()
+        try:
+            c_index(risks, labels)
+            binary_auc(risks, classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestClassificationMetrics:

@@ -1,4 +1,11 @@
-"""Lloyd's K-means with k-means++ seeding, used to initialize semantic anchors."""
+"""Lloyd's K-means with k-means++ seeding, used to initialize semantic anchors.
+
+The seeding and the assignment step both take squared distances in the
+matmul form ‖x‖² − 2·x·c + ‖c‖², and keep one only where a rounding-error
+bound (``_matmul_form_err``) proves that the per-center loop over ‖x − c‖²
+gives the same result; every other row takes the loop's exact values. So
+each output has the loop's bits, whatever the BLAS summation order.
+"""
 
 from __future__ import annotations
 
@@ -51,33 +58,46 @@ def _groups(labels: np.ndarray, count: int):
     return order, sizes, spans
 
 
+def _matmul_form_err(point_sq_norms: np.ndarray, center_sq_norm: float, d: int) -> np.ndarray:
+    """Each row's E: how far the matmul form ‖x‖² − 2·c·x + ‖c‖² may lie
+    from the per-center loop's ‖x − c‖², for any center with
+    ‖c‖² ≤ ``center_sq_norm``, with room for the roundings of the tests
+    that use it. Overflow is the caller's to ignore: a bound that is not
+    finite proves nothing, and its row goes to the loop.
+
+    Both forms are within γ_{d+2}·(‖x‖ + ‖c‖)² of the true distance,
+    γ_m = m·u/(1 − m·u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.1), so they differ by less than E₀ = 2·γ_{d+2}·S²,
+    S = ‖x‖ + ‖c‖. This E = 2·γ_{d+4}·S² plus a few subnormal spacings
+    (which cover any underflow) is larger: E − E₀ = 2·(γ_{d+4} − γ_{d+2})·S²
+    ≥ 4u·S². That slack, which exceeds the few roundings in E itself (a few
+    u of E), pays for rounding a sum or difference with E of size up to
+    S² + 3E, less than u·S²·(1 + 6γ_{d+4}).
+    """
+    floor = d * _SUBNORMAL
+    scale = np.sqrt(point_sq_norms + floor) + np.sqrt(center_sq_norm + floor)
+    gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
+    return 2 * gamma * scale * scale + 8 * (d + 2) * _SUBNORMAL
+
+
 def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
             centers: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
     """The argmin over centers of ``_sq_dists(points, centers)``, exactly.
 
     All (k, n) distances are first taken as ‖x‖² − 2·c·x + ‖c‖², one matmul
-    into ``dist`` (a (k, n) block a caller may reuse across calls). Both
-    that form and the per-center loop are within γ_{d+2}·(‖x‖ + ‖c‖)² of
-    the true distance, γ_m = m·u/(1 − m·u) (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, §3.1), so they differ by less than
-    E₀ = 2·γ_{d+2}·S², S = ‖x‖ + max‖c‖. The code's E = 2·γ_{d+4}·S² plus a
-    few subnormal spacings (which cover any underflow) is larger:
-    2E − 2E₀ = 4·(γ_{d+4} − γ_{d+2})·S² ≥ 8u·S².
+    into ``dist`` (a (k, n) block a caller may reuse across calls), each
+    within E of the loop's (``_matmul_form_err``, with S = ‖x‖ + max‖c‖).
 
     A row is certified when exactly one center lies within 2E of the row's
     minimum ``best``: dist ≤ fl(best + 2E). That center is the minimum's.
-    Any other center j has dist_j > fl(best + 2E) ≥ best + 2E − u·|best + 2E|,
-    where |best| ≤ S² + E₀, so u·|best + 2E| < u·S²·(1 + 6γ_{d+4}). That and
-    the few roundings in E itself (a few u of E) stay below the slack 8u·S²,
-    so dist_j − best > 2E₀, and the loop's distance to j exceeds its
-    distance to the certified center: the loop's argmin. (The same slack
-    covered the rounding of the gap second − best, also below
-    u·S²·(1 + 6γ_{d+4}), where the bound used to take that gap.) Every other
-    row is recomputed with the loop, which breaks ties toward the lower
-    index: near-ties, duplicate centers, an exact tie in the matmul form
-    whichever index its minimum would fall on, and any row whose bound is
-    not finite (an overflowing norm or cross term, or a NaN, which
-    ``np.minimum`` passes on).
+    Any other center j has dist_j > fl(best + 2E), and the slack of each E
+    covers rounding that sum, so dist_j − best > 2E₀: the loop's distance
+    to j exceeds its distance to the certified center, and the certified
+    center is the loop's argmin. Every other row is recomputed with the
+    loop, which breaks ties toward the lower index: near-ties, duplicate
+    centers, an exact tie in the matmul form whichever index its minimum
+    would fall on, and any row whose bound is not finite (an overflowing
+    norm or cross term, or a NaN, which ``np.minimum`` passes on).
     """
     n, d = points.shape
     k = centers.shape[0]
@@ -88,12 +108,8 @@ def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
         np.matmul(centers * -2.0, points.T, out=dist)
         dist += point_sq_norms
         dist += center_sq_norms[:, None]
-        floor = d * _SUBNORMAL
-        scale = np.sqrt(point_sq_norms + floor) + np.sqrt(center_sq_norms.max() + floor)
-        gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
-        err = 2 * gamma * scale * scale + 8 * (d + 2) * _SUBNORMAL
         bound = np.minimum.reduce(dist, axis=0)
-        bound += 2 * err
+        bound += 2 * _matmul_form_err(point_sq_norms, center_sq_norms.max(), d)
         near = (dist <= bound).view(np.uint8)
     # counts and indices fit the narrowest unsigned type that holds k
     key = np.min_scalar_type(k)
@@ -106,26 +122,62 @@ def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
     return best
 
 
-def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _exact_sq_dists(points: np.ndarray, rows: np.ndarray, c: np.ndarray,
+                    buf: np.ndarray) -> np.ndarray:
+    """``np.sum((points[rows] - c) ** 2, axis=1)``, the same values, computed
+    a block of ``len(buf)`` rows at a time in ``buf``."""
+    out = np.empty(len(rows))
+    step = len(buf)
+    for start in range(0, len(rows), step):
+        block = buf[:min(step, len(rows) - start)]
+        # mode="clip" writes straight into the block; "raise" would buffer
+        np.take(points, rows[start:start + step], axis=0, out=block, mode="clip")
+        block -= c
+        with np.errstate(over="ignore"):  # an overflow raises DataError in the seeding
+            np.square(block, out=block)
+            block.sum(axis=1, out=out[start:start + step])
+    return out
+
+
+def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndarray,
+                     c: np.ndarray, buf: np.ndarray) -> None:
+    """Lower ``d2`` in place to ``np.minimum(d2, np.sum((points - c) ** 2,
+    axis=1))``, with those bits, at the cost of one matrix-vector product.
+
+    The distances to ``c`` are first taken as e = ‖x‖² − 2·x·c + ‖c‖², each
+    within E of the loop's (``_matmul_form_err``, with S = ‖x‖ + ‖c‖). A row
+    keeps its ``d2`` when fl(e − E) is finite and exceeds it: the slack of E
+    covers rounding that difference, so the loop's distance is above
+    e − E₀ > d2 and the minimum is ``d2``. Every other row, the ones that
+    ``c`` may win, near-ties and rows whose bound is not finite (an
+    overflowing norm or cross term, a NaN), takes the loop's exact value.
+    """
+    d = points.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq_norm = np.dot(c, c)
+        lower = points @ (c * -2.0)
+        lower += point_sq_norms
+        lower += c_sq_norm
+        lower -= _matmul_form_err(point_sq_norms, c_sq_norm, d)
+        kept = lower > d2
+        kept &= lower < np.inf
+    rows = np.flatnonzero(~kept)
+    if rows.size:
+        d2[rows] = np.minimum(d2[rows], _exact_sq_dists(points, rows, c, buf))
+
+
+def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centers (Arthur & Vassilvitskii 2007), drawn from ``rng``
+    exactly as the textbook loop over ``np.sum((points - c) ** 2, axis=1)``
+    draws them. The first center's distances are the loop's, a block of rows
+    at a time; each later center costs one matrix-vector product plus the
+    loop's work on the rows that it may win (``_lower_to_center``)."""
     n, d = points.shape
     centers = np.empty((k, d), dtype=np.float64)
-    step = max(1, _SEED_BLOCK // d)
-    buf = np.empty((min(step, n), d))
-
-    def sq_dists_to(c: np.ndarray) -> np.ndarray:
-        """``np.sum((points - c) ** 2, axis=1)``, the same values, computed a
-        block of rows at a time in one cache-sized buffer."""
-        out = np.empty(n)
-        for start in range(0, n, step):
-            block = buf[:min(step, n - start)]
-            np.subtract(points[start:start + step], c, out=block)
-            with np.errstate(over="ignore"):  # an overflow raises DataError below
-                np.square(block, out=block)
-            block.sum(axis=1, out=out[start:start + step])
-        return out
-
+    buf = np.empty((min(max(1, _SEED_BLOCK // d), n), d))
     centers[0] = points[rng.integers(n)]
-    d2 = sq_dists_to(centers[0])
+    d2 = _exact_sq_dists(points, np.arange(n), centers[0], buf)
     for i in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -136,7 +188,7 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = rng.choice(n, p=d2 / total)
         centers[i] = points[idx]
-        d2 = np.minimum(d2, sq_dists_to(centers[i]))
+        _lower_to_center(d2, points, point_sq_norms, centers[i], buf)
     return centers
 
 
@@ -186,8 +238,8 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
         raise ConfigError(f"kmeans: need at least k={k} instances, got {n}")
 
     rng = np.random.default_rng(seed)
-    centers = _plus_plus_seed(X, k, rng)
     x_sq_norms = _row_sq_norms(X)
+    centers = _plus_plus_seed(X, x_sq_norms, k, rng)
     dist = np.empty((k, n))
     history: list[float] = []
     iters = 0

@@ -226,6 +226,132 @@ def test_fit_equals_the_per_center_lloyd_loop_with_many_centers(case):
     assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
 
 
+def assert_same_seeding(X, k, seed):
+    """The same centers as the textbook loop, and the generator left in the
+    same state."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = kmeans._plus_plus_seed(X, kmeans._row_sq_norms(X), k, got_rng)
+    assert np.array_equal(got, oracle_plus_plus_seed(X, k, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random() == want_rng.random()
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases())
+def test_plus_plus_seed_equals_the_textbook_loop(case):
+    assert_same_seeding(*case)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(wide_fit_cases())
+def test_plus_plus_seed_equals_the_textbook_loop_with_many_centers(case):
+    assert_same_seeding(*case)
+
+
+def count_exact_rows(monkeypatch):
+    """Wrap the seeding's exact-distance helper; returns the list that each
+    call appends its row count to."""
+    calls = []
+    exact = kmeans._exact_sq_dists
+
+    def counted(points, rows, c, buf):
+        calls.append(len(rows))
+        return exact(points, rows, c, buf)
+
+    monkeypatch.setattr(kmeans, "_exact_sq_dists", counted)
+    return calls
+
+
+class TestCertifiedSeeding:
+    def test_near_tie_takes_the_loop_value(self, monkeypatch):
+        # x's loop distance to the new center c is below its d2, while the
+        # matmul form puts c farther: the certificate must not keep d2
+        x, a = 12345.0, 12345.0 - 0.3
+        X = np.array([[x]])
+        d2 = np.array([(x - a) ** 2])
+        norms = kmeans._row_sq_norms(X)
+        c = np.nextafter(np.array([x + 0.3]), 0.0)
+        loop = np.sum((X - c) ** 2, axis=1)
+        matmul_form = norms - 2.0 * (X @ c) + c @ c
+        assert loop[0] < d2[0] < matmul_form[0]
+        calls = count_exact_rows(monkeypatch)
+        kmeans._lower_to_center(d2, X, norms, c, np.empty((1, 1)))
+        assert calls == [1]
+        assert np.array_equal(d2, loop)
+        assert_same_seeding(np.array([[a], [x], [c[0]]]), 3, 0)
+
+    @pytest.mark.parametrize("distinct,k", [(1, 4), (3, 7)])
+    def test_duplicates_fall_back_to_uniform_choice(self, distinct, k):
+        # once every distinct point is a center, total <= 0
+        rng = np.random.default_rng(distinct)
+        X = rng.standard_normal((distinct, 5))[np.arange(12) % distinct]
+        for seed in range(5):
+            assert_same_seeding(X, k, seed)
+
+    def test_overflowing_cross_term(self):
+        # every norm is finite, but -2·x·c overflows for the larger points
+        X = np.array([[1.34e154], [1.0e154], [0.85e154], [0.8e154]])
+        assert np.all(np.isfinite(kmeans._row_sq_norms(X)))
+        for k in range(2, 5):
+            for seed in range(5):
+                assert_same_seeding(X, k, seed)
+
+    def test_overflowing_norms_with_finite_distances(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = 1e155 * (1.0 + 1e-3 * rng.standard_normal((40, 8)))
+        assert np.all(kmeans._row_sq_norms(X) == np.inf)
+        calls = count_exact_rows(monkeypatch)
+        assert_same_seeding(X, 6, 1)
+        assert calls == [40] * 6
+
+    def test_matmul_form_overflow_with_a_finite_distance(self):
+        # norms, cross term and bound are finite, the matmul form rounds up
+        # to +inf, and the loop's distance lies just below the largest float
+        X = np.array([[float.fromhex("-0x1.aed4577215225p+509"),
+                       float.fromhex("-0x1.1abb043cdd43dp+510")]])
+        c = np.array([float.fromhex("0x1.0d2b4ced63033p+510"),
+                      float.fromhex("0x1.35ad2aeb037acp+511")])
+        norms = kmeans._row_sq_norms(X)
+        with np.errstate(over="ignore"):
+            matmul_form = X @ (c * -2.0) + norms + c @ c
+        loop = np.sum((X - c) ** 2, axis=1)
+        d2 = np.array([np.finfo(np.float64).max])
+        assert matmul_form[0] == np.inf and loop[0] < d2[0]
+        assert np.isfinite(kmeans._matmul_form_err(norms, c @ c, 2)).all()
+        kmeans._lower_to_center(d2, X, norms, c, np.empty((1, 2)))
+        assert np.array_equal(d2, loop)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_scaled_features(self, scale):
+        X = np.random.default_rng(4).standard_normal((300, 16)) * scale
+        for seed in range(3):
+            assert_same_seeding(X, 12, seed)
+
+    def test_temporaries_stay_blocked(self):
+        # a few n-vectors beside the centers and the block buffer; one
+        # (n, d) difference alone would be 8 MiB
+        n, k, d = 2048, 64, 512
+        X = np.random.default_rng(0).standard_normal((n, d))
+        norms = kmeans._row_sq_norms(X)
+        tracemalloc.start()
+        try:
+            kmeans._plus_plus_seed(X, norms, k, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= k * d * 8 + kmeans._SEED_BLOCK * 8 + 16 * n * 8
+
+    def test_under_a_quarter_of_rows_take_the_exact_path(self, monkeypatch):
+        # counts rows, not time: a bound far too loose, or one that certifies
+        # nothing, sends every step back to the exact path
+        n, k, d = 2048, 64, 512
+        X = np.random.default_rng(0).standard_normal((n, d))
+        calls = count_exact_rows(monkeypatch)
+        kmeans._plus_plus_seed(X, kmeans._row_sq_norms(X), k, np.random.default_rng(0))
+        assert calls[0] == n  # the first center's full pass
+        assert sum(calls[1:]) / (n * (k - 1)) < 0.25
+
+
 def test_fit_temporaries_stay_within_a_quarter_over_n_by_k_plus_n_by_d():
     n, k, d = 4000, 64, 32
     X = np.random.default_rng(0).standard_normal((n, d))

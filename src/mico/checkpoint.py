@@ -31,8 +31,8 @@ def save_checkpoint(path: str, config: dict, params: dict[str, np.ndarray]) -> N
         parts.append(nb)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    framing.write_framed(path, MAGIC, b"".join(parts))
+        parts.append(np.ascontiguousarray(arr, dtype="<f8"))
+    framing.write_framed(path, MAGIC, parts)
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -215,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         # reads raise DataError, so this is an output that cannot be written
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # a config size too large to allocate, such as d or mlp_hidden
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

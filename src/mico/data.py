@@ -180,12 +180,12 @@ def write_bag(bag: FeatureBag, path: str) -> None:
         raise DataError(f"bag {bag.bag_id!r} has no label to serialize")
     flags = (1 if bag.coords is not None else 0) | (2 if bag.true_type_map is not None else 0)
     parts.append(struct.pack("<B", flags))
-    parts.append(np.ascontiguousarray(bag.features, dtype="<f8").tobytes())
+    parts.append(np.ascontiguousarray(bag.features, dtype="<f8"))
     if bag.coords is not None:
-        parts.append(np.ascontiguousarray(bag.coords, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(bag.coords, dtype="<f8"))
     if bag.true_type_map is not None:
-        parts.append(np.ascontiguousarray(bag.true_type_map, dtype="<i4").tobytes())
-    framing.write_framed(path, MAGIC, b"".join(parts))
+        parts.append(np.ascontiguousarray(bag.true_type_map, dtype="<i4"))
+    framing.write_framed(path, MAGIC, parts)
 
 
 def read_bag(path: str) -> FeatureBag:

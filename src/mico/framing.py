@@ -20,11 +20,17 @@ from .errors import ChecksumError, DataError, HeaderError, TruncationError
 _CRC = struct.Struct("<I")
 
 
-def write_framed(path: str, magic: bytes, body: bytes) -> None:
+def write_framed(path: str, magic: bytes, parts) -> None:
+    """Write ``magic``, the body and the CRC. The body is ``parts``, a
+    sequence of C-contiguous buffers (bytes, or arrays in their file byte
+    order) written one after another, so no joined copy of it is made."""
+    crc = zlib.crc32(magic)
     with open(path, "wb") as f:
         f.write(magic)
-        f.write(body)
-        f.write(_CRC.pack(zlib.crc32(body, zlib.crc32(magic))))
+        for part in parts:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(_CRC.pack(crc))
 
 
 def read_framed(path: str, magic: bytes) -> "Reader":

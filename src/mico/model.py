@@ -24,6 +24,9 @@ from .errors import ConfigError, DataError, NumericalError, ShapeError
 TASKS = ("survival", "subtype")
 POOLINGS = ("gated_attention", "anchor_mean")
 NORM_CLAMP = 1e-12
+# elements per row block of the elementwise chains below: 256 KiB of float64,
+# so that a chain's block temporaries stay in L2 between its passes
+_ROW_BLOCK = 1 << 15
 
 # tanh approximation constants for gelu
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -142,12 +145,15 @@ def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments) -> Tensor:
     global _zero_norm_clamps
     if H.data.ndim != 2 or S.data.ndim != 2 or H.data.shape[1] != S.data.shape[1]:
         raise ShapeError(f"cosine_alignment: shapes {H.data.shape} and {S.data.shape} incompatible")
-    if not (np.all(np.isfinite(H.data)) and np.all(np.isfinite(S.data))):
-        raise NumericalError("cosine_alignment: non-finite input")
 
     # the arithmetic of ``np.linalg.norm(x, axis=1)``, without its copy x.conj()
     u = np.sqrt((H.data * H.data).sum(axis=1))
     v = np.sqrt((S.data * S.data).sum(axis=1))
+    # a non-finite value makes its row's norm non-finite, so only a
+    # non-finite norm (which also comes of overflow) needs the full check
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))) and not (
+            np.all(np.isfinite(H.data)) and np.all(np.isfinite(S.data))):
+        raise NumericalError("cosine_alignment: non-finite input")
     n_clamped = int(np.sum(u < NORM_CLAMP) + np.sum(v < NORM_CLAMP))
     if n_clamped:
         _zero_norm_clamps += n_clamped
@@ -159,7 +165,8 @@ def cosine_alignment(H: Tensor, S: Tensor, seg: ad.Segments) -> Tensor:
     def bw(g):
         Hn = H.data / u[:, None]
         gA = g * A
-        _accum(H, (seg.matmul(g, Sn) - Hn * gA.sum(axis=1)[:, None]) / u[:, None])
+        if H.requires_grad:
+            _accum(H, (seg.matmul(g, Sn) - Hn * gA.sum(axis=1)[:, None]) / u[:, None])
         _accum(S, (seg.outer(g, Hn) - Sn * seg.sum(gA).reshape(-1)[:, None]) / v[:, None])
 
     return _make(A, (H, S), "cosine_alignment", bw)
@@ -216,7 +223,8 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     def bw(g):
         # d agg_k / d W[m,k] = (h_m - agg_k) / N_k, within the bag of m
         q = np.where(empty[:, None], 0.0, g) / safe[:, None]
-        _accum(H, seg.matmul(W, q))
+        if H.requires_grad:
+            _accum(H, seg.matmul(W, q))
         _accum(A_hat, seg.matmul(H.data, q, trans_y=True)
                - seg.spread((agg * q).sum(axis=1).reshape(B, K)))
         g_prev = np.where(empty[:, None], g, 0.0)
@@ -225,60 +233,108 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(c (x + a x^3)), the tanh of the gelu approximation."""
-    # products, not powers (``x ** 3`` takes the slow general pow path), and
-    # one temporary updated in place
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    return t
+def _row_blocks(x: np.ndarray, scratch: int = 0):
+    """Yield each block of rows of ``x``, about ``_ROW_BLOCK`` elements and at
+    least one row, as a slice with ``scratch`` float64 buffers of the block's
+    shape. The buffers are made once and reused from block to block; for an
+    ``x`` of one block they are the size of ``x``, like the temporaries of
+    the chain run on the whole array."""
+    rows = x.shape[0]
+    step = max(1, _ROW_BLOCK // max(1, math.prod(x.shape[1:])))
+    buffers = [np.empty((min(step, rows),) + x.shape[1:]) for _ in range(scratch)]
+    for lo in range(0, rows, step):
+        n = min(step, rows - lo)
+        yield slice(lo, lo + n), [b[:n] for b in buffers]
+
+
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c (x + a x^3)), the tanh of the gelu approximation, into ``out``."""
+    # products, not powers (``x ** 3`` takes the slow general pow path)
+    np.multiply(x, x, out=out)
+    out *= x
+    out *= _GELU_A
+    out += x
+    out *= _GELU_C
+    np.tanh(out, out=out)
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    # scaling by 0.5 last is exact
-    t = _gelu_tanh(x)
-    t += 1.0
-    t *= x
-    t *= 0.5
-    return t
+    out = np.empty_like(x)
+    for s, _ in _row_blocks(x):
+        t = _gelu_tanh(x[s], out[s])
+        t += 1.0
+        t *= x[s]
+        t *= 0.5    # scaling by 0.5 last is exact
+    return out
 
 
-def _gelu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gelu(x) and d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2),
-    from one tanh t, in place; gelu(x) has the bits of ``_gelu(x)``."""
-    t = _gelu_tanh(x)
-    rest = 0.5 * x
-    u = t * t
-    np.subtract(1.0, u, out=u)
-    rest *= u
-    np.multiply(x, x, out=u)    # the inner slope c (1 + 3a x^2)
-    u *= 3.0 * _GELU_A
-    u += 1.0
-    u *= _GELU_C
-    rest *= u
-    t += 1.0
-    np.multiply(t, x, out=u)
-    u *= 0.5
-    t *= 0.5
-    t += rest
-    return u, t
+def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """gelu(x), with the bits of ``_gelu(x)``, and g *= d gelu / dx in place,
+    where d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2) for the
+    one tanh t."""
+    act = np.empty_like(x)
+    for s, (t, rest) in _row_blocks(x, 2):
+        xb, u = x[s], act[s]
+        _gelu_tanh(xb, t)
+        np.multiply(xb, 0.5, out=rest)
+        np.multiply(t, t, out=u)
+        np.subtract(1.0, u, out=u)
+        rest *= u
+        np.multiply(xb, xb, out=u)  # the inner slope c (1 + 3a x^2)
+        u *= 3.0 * _GELU_A
+        u += 1.0
+        u *= _GELU_C
+        rest *= u
+        t += 1.0
+        np.multiply(t, xb, out=u)
+        u *= 0.5
+        t *= 0.5
+        t += rest
+        g[s] *= t
+    return act
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
     # masked indexing: with e = exp(-|x|) the numerator is max(e, x >= 0)
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, (x >= 0).astype(np.float64))
-    e += 1.0
-    out /= e
+    out = np.empty_like(x)
+    for s, (e,) in _row_blocks(x, 1):
+        xb, o = x[s], out[s]
+        np.abs(xb, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(xb, 0.0, out=o)
+        np.maximum(e, o, out=o)
+        e += 1.0
+        o /= e
     return out
+
+
+def _tanh_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g b (1 - a^2) as a fresh array: the gradient into tanh's argument of
+    the gate product a b, with a = tanh(.)."""
+    out = np.empty_like(g)
+    for s, (slope,) in _row_blocks(g, 1):
+        o = out[s]
+        np.multiply(a[s], a[s], out=slope)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(g[s], b[s], out=o)
+        o *= slope
+    return out
+
+
+def _sigmoid_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g a (b (1 - b)), written over g: the gradient into sigmoid's argument
+    of the gate product a b, with b = sigmoid(.)."""
+    for s, (slope,) in _row_blocks(g, 1):
+        gb = g[s]
+        np.subtract(1.0, b[s], out=slope)
+        slope *= b[s]
+        gb *= a[s]
+        gb *= slope
+    return g
 
 
 # The fused layers below are one tape node each. Besides its inputs and
@@ -289,32 +345,36 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 #   cosine_alignment      row norms u, v; Sn (K, d)  Hn = H / u
 #   route_update          MLP pre-activation P       X = H + A_hat S_agg (one
 #                                                    (M, K) x (K, d) matmul)
-#                                                    gelu(P) and its slope
-#   cluster_reduce        MLP pre-activation P       gelu(P) and its slope
+#                                                    gelu(P); its slope
+#   cluster_reduce        MLP pre-activation P       gelu(P); its slope
 #   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product
 #
 # Only route_update repeats a matmul, a K-wide one, against the two d-wide
-# matmuls of its MLP that it keeps P to avoid.
+# matmuls of its MLP that it keeps P to avoid. The slopes exist one row
+# block at a time: each elementwise chain (gelu, its slope, sigmoid, the two
+# gate slopes) runs over blocks of ``_ROW_BLOCK`` elements from
+# ``_row_blocks``. Every element takes the same operations in the same order
+# as over the whole array, and no reduction over rows is split, so a chain
+# has the same bits for any block size.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, X)`` takes the
-    upstream gradient g of Y and the same X again, accumulates the four
-    weight gradients and returns the gradient of X."""
+    """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, make_X)`` takes
+    the upstream gradient g of Y and a function that makes the same X again,
+    accumulates the four weight gradients and returns the gradient of X. X
+    is made after the slope pass, so that it never lives beside that pass's
+    arrays."""
     P = X @ w1.data
     P += b1.data
     Y = _gelu(P) @ w2.data
     Y += b2.data
 
-    def bw(g, X):
-        # act and slope are freed before the next (N, h) array is made
-        act, slope = _gelu_and_slope(P)
+    def bw(g, make_X):
+        gP = g @ w2.data.T
+        act = _gelu_backward(P, gP)
         _accum(w2, act.T @ g)
         _accum(b2, g.sum(axis=0))
         del act
-        gP = g @ w2.data.T
-        gP *= slope
-        del slope
-        _accum(w1, X.T @ gP)
+        _accum(w1, make_X().T @ gP)
         _accum(b1, gP.sum(axis=0))
         return gP @ w1.data.T
 
@@ -329,13 +389,15 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
     Y, mlp_bw = _gelu_mlp(H.data + seg.matmul(A_hat.data, S_agg.data), w1, b1, w2, b2)
 
     def bw(g):
-        gX = mlp_bw(g, H.data + seg.matmul(A_hat.data, S_agg.data))
+        gX = mlp_bw(g, lambda: H.data + seg.matmul(A_hat.data, S_agg.data))
         _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
         _accum(S_agg, seg.outer(A_hat.data, gX))
-        gX += g   # the bits of ``g + gX``
-        _accum(H, gX)
+        if H.requires_grad:
+            gX += g   # the bits of ``g + gX``
+            _accum(H, gX)
 
-    return _make(H.data + Y, (H, A_hat, S_agg, w1, b1, w2, b2), "route_update", bw)
+    Y += H.data   # the bits of ``H.data + Y``
+    return _make(Y, (H, A_hat, S_agg, w1, b1, w2, b2), "route_update", bw)
 
 
 def _block_transpose(x: np.ndarray, blocks: int) -> np.ndarray:
@@ -362,7 +424,7 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     Y, mlp_bw = _gelu_mlp(_block_transpose(S_agg.data, bags), r1, rb1, r2, rb2)
 
     def bw(g):
-        gX = mlp_bw(_block_transpose(g, bags), _block_transpose(S_agg.data, bags))
+        gX = mlp_bw(_block_transpose(g, bags), lambda: _block_transpose(S_agg.data, bags))
         _accum(S_agg, _block_transpose(gX, bags))
 
     return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)
@@ -389,21 +451,13 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
         gate = a * b
         _accum(w, gate.T @ g_scores[:, None])
         g_gate = np.multiply(g_scores[:, None], w.data.T, out=gate)
-        slope = a * a
-        np.subtract(1.0, slope, out=slope)      # d tanh = 1 - a^2
-        gPV = g_gate * b
-        gPV *= slope
-        del slope
+        gPV = _tanh_grad(g_gate, a, b)
         gH = seg.spread(g)
         gH *= attn[:, None]
         gH += gPV @ V.data.T
         _accum(V, H.data.T @ gPV)
         del gPV
-        slope = 1.0 - b
-        slope *= b                              # d sigmoid = b (1 - b)
-        gPU = np.multiply(g_gate, a, out=g_gate)
-        gPU *= slope
-        del slope
+        gPU = _sigmoid_grad(g_gate, a, b)
         gH += gPU @ U.data.T
         _accum(H, gH)
         _accum(U, H.data.T @ gPU)
@@ -537,9 +591,10 @@ class MicoModel:
             if X.shape[0] < 1:
                 raise DataError("bag has no instances")
         packed = bags[0] if len(bags) == 1 else np.concatenate(bags)
-        if not np.all(np.isfinite(packed)):
-            raise DataError("bag features contain non-finite values")
-        H = Tensor(packed)
+        try:
+            H = Tensor(packed)   # the leaf check is the one finiteness check
+        except NumericalError as exc:
+            raise DataError("bag features contain non-finite values") from exc
         seg = ad.Segments([X.shape[0] for X in bags])
 
         S = self.params["anchors"]

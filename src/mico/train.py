@@ -366,8 +366,8 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
             meta["best_epoch"] = result.best_epoch
             if edges is not None:
                 meta["bin_edges"] = [float(e) for e in edges]
-            save_checkpoint(os.path.join(out_dir, f"fold{i}.mico"),
-                            meta, model.state_arrays())
+            save_checkpoint(os.path.join(out_dir, f"fold{i}.mico"), meta,
+                            {name: p.data for name, p in model.params.items()})
 
     names = _metric_names(config.task)
     mean = {m: float(np.mean([r.metrics[m] for r in results])) for m in names}

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mico import checkpoint, framing
+from mico import checkpoint, cli, framing
 from mico.checkpoint import save_checkpoint
 from mico.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from mico.data import FeatureBag, read_bag, write_bag
@@ -141,7 +141,7 @@ class TestExitCodes:
         record = (struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
                   + struct.pack(f"<{len(shape)}Q", *shape) + bytes(8 * int(np.prod(shape))))
         body = body[:at] + struct.pack("<I", count + 1) + body[at + 4:] + record
-        framing.write_framed(ckpt, checkpoint.MAGIC, body)
+        framing.write_framed(ckpt, checkpoint.MAGIC, [body])
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data_dir]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -388,6 +388,44 @@ class TestExitCodes:
         for task in ("survival", "subtype"):
             for pack in (1, 3):
                 assert f"{task}, pack of {pack}: max relative error" in out
+
+
+class TestOutOfMemory:
+    """A size too large to allocate (say ``d`` or ``mlp_hidden`` of 10^9) is one
+    error line and exit 1, not a traceback. The allocations are stubbed: a
+    test never asks for a huge array."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape "
+                          "(1000000000,) and data type float64")
+
+    def test_synth(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate", self.refuse)
+        code = main(["synth", "--config", synth_config(tmp_path, d=10 ** 9),
+                     "--out", str(tmp_path / "data")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.45 GiB for an array with shape "
+            "(1000000000,) and data type float64\n")
+
+    def test_train(self, tmp_path, capsys, monkeypatch):
+        data_dir = make_dataset(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_training", self.refuse)
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        assert main(["synth", "--config", synth_config(tmp_path),
+                     "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
 
 
 class TestFullFlow:

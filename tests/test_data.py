@@ -141,7 +141,7 @@ class TestBagIo:
         at = len(md.MAGIC) + 2 + len(bag.bag_id) + 8 + 1 + 8 + 1
         assert struct.unpack_from("<i", raw, at) == (-1,)
         body = raw[len(md.MAGIC):at] + struct.pack("<i", reserved) + raw[at + 4:-4]
-        framing.write_framed(str(p), md.MAGIC, body)
+        framing.write_framed(str(p), md.MAGIC, [body])
         assert read_bag(str(p)).label == bag.label
 
     def test_bad_magic_raises_header_error(self, tmp_path):

@@ -4,6 +4,7 @@ Every single-bit flip and every truncation of a valid file must raise a
 `FileFormatError`, and the CRC is checked before any field is parsed.
 """
 
+import json
 import struct
 import zlib
 
@@ -128,7 +129,7 @@ def test_impossible_parameter_shape_with_valid_crc_raises_header_error(tmp_path,
     # the payload these shapes declare fits the file; NumPy cannot hold the array
     payload = b"" if 0 in shape else struct.pack("<d", 1.0)
     path = tmp_path / "m.mico"
-    framing.write_framed(str(path), checkpoint.MAGIC, checkpoint_body([("w", shape, payload)]))
+    framing.write_framed(str(path), checkpoint.MAGIC, [checkpoint_body([("w", shape, payload)])])
     with pytest.raises(HeaderError, match="shape"):
         load_checkpoint(str(path))
 
@@ -137,7 +138,7 @@ def test_repeated_parameter_name_with_valid_crc_raises_header_error(tmp_path):
     one = struct.pack("<d", 1.0)
     path = tmp_path / "m.mico"
     framing.write_framed(str(path), checkpoint.MAGIC,
-                         checkpoint_body([("w", (1,), one), ("b", (1,), one), ("w", (1,), one)]))
+                         [checkpoint_body([("w", (1,), one), ("b", (1,), one), ("w", (1,), one)])])
     with pytest.raises(HeaderError, match="'w' appears twice"):
         load_checkpoint(str(path))
 
@@ -148,6 +149,45 @@ def test_declared_features_beyond_the_file_raise_truncation_error(tmp_path):
     body = (struct.pack("<H", len(bag_id)) + bag_id + struct.pack("<II", 2 ** 32 - 1, 2 ** 32 - 1)
             + struct.pack("<Bi", data._KIND_SUBTYPE, 0) + struct.pack("<B", 0))
     path = tmp_path / "b.mbag"
-    framing.write_framed(str(path), data.MAGIC, body)
+    framing.write_framed(str(path), data.MAGIC, [body])
     with pytest.raises(TruncationError, match="features"):
         read_bag(str(path))
+
+
+def joined_then_written(magic: bytes, parts: list[bytes]) -> bytes:
+    body = b"".join(parts)
+    return magic + body + struct.pack("<I", zlib.crc32(body, zlib.crc32(magic)))
+
+
+def test_streamed_writes_have_the_bytes_of_a_joined_body(tmp_path):
+    """`write_framed` writes and checksums its parts one by one; a checkpoint
+    and a bag keep the bytes of their body joined first, as the writers below
+    built it with ``tobytes`` and ``b"".join``."""
+    model = MicoModel(MicoConfig(d=5, anchors=4, layers=2, task="survival"),
+                      rng=np.random.default_rng(4))
+    config = dict(model.config.to_dict(), fold=1, bin_edges=[0.5, 2.5, 4.0])
+    params = {name: p.data for name, p in model.params.items()}
+    path = tmp_path / "m.mico"
+    save_checkpoint(str(path), config, params)
+    cfg = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [struct.pack("<I", len(cfg)), cfg, struct.pack("<I", len(params))]
+    for name, arr in params.items():
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
+    assert path.read_bytes() == joined_then_written(checkpoint.MAGIC, parts)
+
+    path = tmp_path / "b.mbag"
+    write_small_bag(path)
+    bag = read_bag(str(path))
+    write_bag(bag, str(path))
+    bid = bag.bag_id.encode("utf-8")
+    parts = [struct.pack("<H", len(bid)), bid, struct.pack("<II", *bag.features.shape),
+             struct.pack("<B", data._KIND_SURVIVAL),
+             struct.pack("<dBi", bag.label.time, int(bag.label.event), -1),
+             struct.pack("<B", 3),
+             np.ascontiguousarray(bag.features, dtype="<f8").tobytes(),
+             np.ascontiguousarray(bag.coords, dtype="<f8").tobytes(),
+             np.ascontiguousarray(bag.true_type_map, dtype="<i4").tobytes()]
+    assert path.read_bytes() == joined_then_written(data.MAGIC, parts)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mico.errors import (
     ShapeError,
 )
 from mico.model import (
+    POOLINGS,
     MicoConfig,
     MicoModel,
     aggregate_anchors,
@@ -286,12 +288,190 @@ class TestActivations:
     def test_gelu_slope_matches_finite_differences(self):
         xa = np.random.default_rng(17).uniform(-3, 3, size=20)
         numeric = fd_grad(lambda: float(mm._gelu(xa).sum()), xa)
-        assert max_rel_err(mm._gelu_and_slope(xa)[1], numeric) < 1e-6
+        slope = np.ones_like(xa)
+        mm._gelu_backward(xa, slope)
+        assert max_rel_err(slope, numeric) < 1e-6
 
     def test_sigmoid_is_stable_at_the_extremes(self):
         x = np.array([-800.0, -30.0, -0.0, 0.0, 0.7, 30.0, 800.0])
         assert np.array_equal(mm._sigmoid(x)[[0, 2, 3, 6]], [0.0, 0.5, 0.5, 1.0])
         assert max_rel_err(mm._sigmoid(x[1:-1]), 1.0 / (1.0 + np.exp(-x[1:-1]))) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The elementwise chains as they were before row blocking, each over its
+# whole array at once. The blocked chains must give their bits: the same
+# operations in the same order, per element.
+
+def ref_gelu_tanh(x):
+    t = x * x
+    t *= x
+    t *= mm._GELU_A
+    t += x
+    t *= mm._GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
+def ref_gelu(x):
+    t = ref_gelu_tanh(x)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
+
+
+def ref_gelu_and_slope(x):
+    t = ref_gelu_tanh(x)
+    rest = 0.5 * x
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    rest *= u
+    np.multiply(x, x, out=u)
+    u *= 3.0 * mm._GELU_A
+    u += 1.0
+    u *= mm._GELU_C
+    rest *= u
+    t += 1.0
+    np.multiply(t, x, out=u)
+    u *= 0.5
+    t *= 0.5
+    t += rest
+    return u, t
+
+
+def ref_sigmoid(x):
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, (x >= 0).astype(np.float64))
+    e += 1.0
+    out /= e
+    return out
+
+
+def ref_tanh_grad(g_gate, a, b):
+    slope = a * a
+    np.subtract(1.0, slope, out=slope)
+    gPV = g_gate * b
+    gPV *= slope
+    return gPV
+
+
+def ref_sigmoid_grad(g_gate, a, b):
+    slope = 1.0 - b
+    slope *= b
+    gPU = np.multiply(g_gate, a, out=g_gate)
+    gPU *= slope
+    return gPU
+
+
+# NaN is the default quiet NaN. When both operands of a NumPy multiply or add
+# are NaNs of different sign or payload, which one survives depends on where
+# the element falls in the call (on AVX-512, the last n mod 8 elements of a
+# call longer than 8 take the other), so the unblocked chains themselves give
+# such NaNs bits that depend on their position.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                    1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _with_specials(rng, shape):
+    x = rng.standard_normal(shape) * 3.0
+    where = rng.choice(x.size, size=min(x.size, 3 * SPECIAL.size), replace=False)
+    where[:2] = [0, x.size - 1] if x.size > 1 else 0
+    x.flat[where] = np.resize(SPECIAL, where.size)
+    return x
+
+
+def _block_shapes():
+    """(block, rows, d): 1, block - 1, block, block + 1 and several blocks of
+    rows, at the module's block size and at a small one that d exceeds."""
+    for block in (mm._ROW_BLOCK, 64):
+        for d in (1, 7, 33, 512, block + 5):
+            step = max(1, block // d)
+            for rows in sorted({1, step - 1, step, step + 1, 3 * step + 2} - {0}):
+                yield block, rows, d
+
+
+class TestRowBlockedChains:
+    @pytest.fixture(params=list(_block_shapes()), ids=lambda p: "block%d-%dx%d" % p)
+    def shape(self, request, monkeypatch):
+        block, rows, d = request.param
+        monkeypatch.setattr(mm, "_ROW_BLOCK", block)
+        return rows, d
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with np.errstate(all="ignore"):
+            yield
+
+    def test_gelu_and_sigmoid_keep_the_bits(self, shape):
+        x = _with_specials(np.random.default_rng(shape), shape)
+        assert np.array_equal(_bits(mm._gelu(x)), _bits(ref_gelu(x)))
+        assert np.array_equal(_bits(mm._sigmoid(x)), _bits(ref_sigmoid(x)))
+
+    def test_gelu_backward_keeps_the_bits(self, shape):
+        rng = np.random.default_rng(shape)
+        x, g = _with_specials(rng, shape), rng.standard_normal(shape)
+        act_ref, slope_ref = ref_gelu_and_slope(x)
+        g_ref = g.copy()
+        g_ref *= slope_ref
+        act = mm._gelu_backward(x, g)
+        assert np.array_equal(_bits(act), _bits(act_ref))
+        assert np.array_equal(_bits(g), _bits(g_ref))
+
+    # special values in one of the three inputs at a time: an inf times a
+    # zero in one makes a NaN another NaN could meet (see SPECIAL)
+    @pytest.mark.parametrize("special", ["g", "a", "b"])
+    def test_gate_slopes_keep_the_bits(self, shape, special):
+        rng = np.random.default_rng(shape)
+        arrays = {"g": rng.standard_normal(shape), "a": rng.uniform(-1, 1, shape),
+                  "b": rng.uniform(0, 1, shape)}
+        arrays[special] = _with_specials(rng, shape)
+        g, a, b = arrays["g"], arrays["a"], arrays["b"]
+        assert np.array_equal(_bits(mm._tanh_grad(g, a, b)), _bits(ref_tanh_grad(g, a, b)))
+        expected = ref_sigmoid_grad(g.copy(), a, b)
+        out = mm._sigmoid_grad(g, a, b)
+        assert out is g
+        assert np.array_equal(_bits(out), _bits(expected))
+
+
+@pytest.mark.parametrize("rows", [8, 1024])
+def test_gelu_backward_scratch_is_one_block(rows):
+    """Beyond act, the slope chain holds two block buffers, which for an
+    array of one block are no larger than the array."""
+    x = np.random.default_rng(3).standard_normal((rows, 512))
+    g = np.ones_like(x)
+    tracemalloc.start()
+    try:
+        mm._gelu_backward(x, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(x.nbytes, max(1, mm._ROW_BLOCK // 512) * 512 * 8)
+    assert peak <= x.nbytes + 2 * block + 4096
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_backward_never_accumulates_into_the_packed_input(monkeypatch, pooling):
+    """The bag features need no gradient, so layer 0 computes none for them."""
+    seen = []
+    accum = mm._accum
+
+    def spy(t, g):
+        seen.append(t)
+        accum(t, g)
+
+    monkeypatch.setattr(mm, "_accum", spy)
+    model = small_model(pooling=pooling)
+    rng = np.random.default_rng(21)
+    out, _ = model.forward([rng.standard_normal((7, 6)), rng.standard_normal((5, 6))])
+    ad.backward(out, np.ones(out.shape))
+    assert seen and all(t.requires_grad for t in seen)
 
 
 def _route_inputs(rng, sizes):

@@ -30,6 +30,7 @@ keep every bag apart inside the fused nodes.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from typing import Callable, Iterable, Optional
 
@@ -272,11 +273,33 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# blocked passes
 
-# Adam steps its flat vectors this many values at a time through two reused
-# scratch blocks, so a step allocates no temporary as long as the vectors
-_STEP_BLOCK = 1 << 15
+# elements per block of a blocked pass: 256 KiB of float64, so that a pass's
+# block temporaries stay in L2 between its operations
+BLOCK = 1 << 15
+
+
+def blocks(shape: tuple[int, ...], scratch: int = 0, budget: int | None = None):
+    """Yield each block of rows of an array of ``shape``, about ``budget``
+    elements (``BLOCK`` by default) and at least one row, as a slice with
+    ``scratch`` float64 buffers of the block's shape. The buffers are made
+    once and reused from block to block; for an array of one block they are
+    the size of the array, like the temporaries of a pass over the whole.
+
+    A blocked pass gives every element the same operations in the same
+    order as the pass over the whole array, and splits no reduction over
+    rows, so it has the same bits for any block size."""
+    rows, row_shape = shape[0], shape[1:]
+    step = max(1, (BLOCK if budget is None else budget) // max(1, math.prod(row_shape)))
+    buffers = [np.empty((min(step, rows),) + row_shape) for _ in range(scratch)]
+    for lo in range(0, rows, step):
+        n = min(step, rows - lo)
+        yield slice(lo, lo + n), [b[:n] for b in buffers]
+
+
+# ---------------------------------------------------------------------------
+# optimizer
 
 
 class Adam:
@@ -306,7 +329,6 @@ class Adam:
         n = sum(p.data.size for p in params.values())
         self._values, self._grads = np.empty(n), np.empty(n)
         self._m, self._v = np.zeros(n), np.zeros(n)
-        self._scratch = (np.empty(min(n, _STEP_BLOCK)), np.empty(min(n, _STEP_BLOCK)))
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         lo = 0
@@ -334,13 +356,10 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        n = self._values.size
         # in place, with the operations and their order of the textbook
         # m = b1 m + (1 - b1) g, so the results are the same bits
-        for lo in range(0, n, _STEP_BLOCK):
-            hi = min(lo + _STEP_BLOCK, n)
-            g, m, v = self._grads[lo:hi], self._m[lo:hi], self._v[lo:hi]
-            s, r = self._scratch[0][:hi - lo], self._scratch[1][:hi - lo]
+        for blk, (s, r) in blocks(self._values.shape, 2):
+            g, m, v = self._grads[blk], self._m[blk], self._v[blk]
             m *= b1
             np.multiply(g, 1.0 - b1, out=s)
             m += s
@@ -354,7 +373,7 @@ class Adam:
             np.sqrt(r, out=r)
             r += self.eps
             s /= r
-            self._values[lo:hi] -= s
+            self._values[blk] -= s
 
     def zero_grad(self) -> None:
         zero_grad(self.params.values())

@@ -253,10 +253,12 @@ def read_dataset(data_dir: str) -> list[FeatureBag]:
 # ---------------------------------------------------------------------------
 # fold splitting
 
+SPLIT = (0.60, 0.15, 0.25)  # the (train, val, test) fractions of every fold
+
+
 def make_folds(bag_ids: list[str], n_folds: int = 4,
-               ratios: tuple[float, float, float] = (0.60, 0.15, 0.25),
                seed: int = 0) -> list[tuple[list[str], list[str], list[str]]]:
-    """Per-fold disjoint (train, val, test) id lists at the given ratios.
+    """Per-fold disjoint (train, val, test) id lists at the ``SPLIT`` ratios.
 
     Test sets rotate through consecutive chunks of one fixed shuffle, so they
     are as disjoint across folds as the test fraction allows; rounding is
@@ -265,10 +267,10 @@ def make_folds(bag_ids: list[str], n_folds: int = 4,
     n = len(bag_ids)
     if len(set(bag_ids)) != n:
         raise DataError("bag ids are not unique")
-    n_test = round(ratios[2] * n)
-    n_val = round(ratios[1] * n)
+    n_test = round(SPLIT[2] * n)
+    n_val = round(SPLIT[1] * n)
     if n_test < 1 or n_val < 1 or n - n_test - n_val < 1:
-        raise DataError(f"too few bags ({n}) for a {ratios} split")
+        raise DataError(f"too few bags ({n}) for a {SPLIT} split")
 
     ss = np.random.SeedSequence(seed)
     root_rng = np.random.default_rng(ss)

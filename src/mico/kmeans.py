@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import blocks
 from .errors import ConfigError, DataError
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
-_SEED_BLOCK = 1 << 15  # elements per block of k-means++ distances: 256 KiB
 _OVERFLOW = "kmeans: squared distances between instances overflow; rescale the features"
 
 
@@ -122,25 +122,22 @@ def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
     return best
 
 
-def _exact_sq_dists(points: np.ndarray, rows: np.ndarray, c: np.ndarray,
-                    buf: np.ndarray) -> np.ndarray:
+def _exact_sq_dists(points: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``np.sum((points[rows] - c) ** 2, axis=1)``, the same values, computed
-    a block of ``len(buf)`` rows at a time in ``buf``."""
+    as a blocked pass (``blocks``) over the rows."""
     out = np.empty(len(rows))
-    step = len(buf)
-    for start in range(0, len(rows), step):
-        block = buf[:min(step, len(rows) - start)]
+    for s, (block,) in blocks((len(rows), points.shape[1]), 1):
         # mode="clip" writes straight into the block; "raise" would buffer
-        np.take(points, rows[start:start + step], axis=0, out=block, mode="clip")
+        np.take(points, rows[s], axis=0, out=block, mode="clip")
         block -= c
         with np.errstate(over="ignore"):  # an overflow raises DataError in the seeding
             np.square(block, out=block)
-            block.sum(axis=1, out=out[start:start + step])
+            block.sum(axis=1, out=out[s])
     return out
 
 
 def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndarray,
-                     c: np.ndarray, buf: np.ndarray) -> None:
+                     c: np.ndarray) -> None:
     """Lower ``d2`` in place to ``np.minimum(d2, np.sum((points - c) ** 2,
     axis=1))``, with those bits, at the cost of one matrix-vector product.
 
@@ -163,7 +160,7 @@ def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndar
         kept &= lower < np.inf
     rows = np.flatnonzero(~kept)
     if rows.size:
-        d2[rows] = np.minimum(d2[rows], _exact_sq_dists(points, rows, c, buf))
+        d2[rows] = np.minimum(d2[rows], _exact_sq_dists(points, rows, c))
 
 
 def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
@@ -175,9 +172,8 @@ def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
     loop's work on the rows that it may win (``_lower_to_center``)."""
     n, d = points.shape
     centers = np.empty((k, d), dtype=np.float64)
-    buf = np.empty((min(max(1, _SEED_BLOCK // d), n), d))
     centers[0] = points[rng.integers(n)]
-    d2 = _exact_sq_dists(points, np.arange(n), centers[0], buf)
+    d2 = _exact_sq_dists(points, np.arange(n), centers[0])
     for i in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -188,7 +184,7 @@ def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
         else:
             idx = rng.choice(n, p=d2 / total)
         centers[i] = points[idx]
-        _lower_to_center(d2, points, point_sq_norms, centers[i], buf)
+        _lower_to_center(d2, points, point_sq_norms, centers[i])
     return centers
 
 

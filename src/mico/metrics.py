@@ -7,20 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import blocks
 from .errors import DataError, UndefinedMetricError
 from .losses import SubtypeLabel, SurvivalLabel
 
 
-# Pair counts run over blocks of rows, so the boolean temporaries stay near
-# 2 MiB each whatever the sample count. Every count is an integer and every
-# credit a multiple of 0.5, so the result has the bits of one (n, n) pass.
+# Pair counts are ``blocks`` passes of this many pairs a block, so the boolean
+# temporaries stay near 2 MiB each whatever the sample count. Every count is
+# an integer and every credit a multiple of 0.5, so the result has the bits
+# of one (n, n) pass.
 _PAIR_BLOCK = 1 << 21
-
-
-def _row_blocks(rows: int, cols: int):
-    step = max(1, _PAIR_BLOCK // cols)
-    for start in range(0, rows, step):
-        yield slice(start, start + step)
 
 
 def c_index(risks, labels: list[SurvivalLabel]) -> float:
@@ -38,7 +34,7 @@ def c_index(risks, labels: list[SurvivalLabel]) -> float:
     e = np.array([lab.event for lab in labels], dtype=bool)
 
     n_pairs = concordant = ties = 0
-    for rows in _row_blocks(r.size, r.size):
+    for rows, _ in blocks((r.size, r.size), budget=_PAIR_BLOCK):
         comparable = (t[rows, None] < t) & e[rows, None]
         n_pairs += np.count_nonzero(comparable)
         concordant += np.count_nonzero(comparable & (r[rows, None] > r))
@@ -57,7 +53,7 @@ def binary_auc(scores, labels) -> float:
     if pos.size == 0 or neg.size == 0:
         raise UndefinedMetricError("auc: both classes must be present")
     greater = ties = 0
-    for rows in _row_blocks(pos.size, neg.size):
+    for rows, _ in blocks((pos.size, neg.size), budget=_PAIR_BLOCK):
         greater += np.count_nonzero(pos[rows, None] > neg)
         ties += np.count_nonzero(pos[rows, None] == neg)
     return float((greater + 0.5 * ties) / (pos.size * neg.size))

@@ -24,9 +24,6 @@ from .errors import ConfigError, DataError, NumericalError, ShapeError
 TASKS = ("survival", "subtype")
 POOLINGS = ("gated_attention", "anchor_mean")
 NORM_CLAMP = 1e-12
-# elements per row block of the elementwise chains below: 256 KiB of float64,
-# so that a chain's block temporaries stay in L2 between its passes
-_ROW_BLOCK = 1 << 15
 
 # tanh approximation constants for gelu
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -233,20 +230,6 @@ def aggregate_anchors(H: Tensor, A_hat: Tensor, S_prev: Tensor,
     return _make(agg, (H, A_hat, S_prev), "aggregate_anchors", bw), counts
 
 
-def _row_blocks(x: np.ndarray, scratch: int = 0):
-    """Yield each block of rows of ``x``, about ``_ROW_BLOCK`` elements and at
-    least one row, as a slice with ``scratch`` float64 buffers of the block's
-    shape. The buffers are made once and reused from block to block; for an
-    ``x`` of one block they are the size of ``x``, like the temporaries of
-    the chain run on the whole array."""
-    rows = x.shape[0]
-    step = max(1, _ROW_BLOCK // max(1, math.prod(x.shape[1:])))
-    buffers = [np.empty((min(step, rows),) + x.shape[1:]) for _ in range(scratch)]
-    for lo in range(0, rows, step):
-        n = min(step, rows - lo)
-        yield slice(lo, lo + n), [b[:n] for b in buffers]
-
-
 def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """tanh(c (x + a x^3)), the tanh of the gelu approximation, into ``out``."""
     # products, not powers (``x ** 3`` takes the slow general pow path)
@@ -262,7 +245,7 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _gelu(x: np.ndarray) -> np.ndarray:
     """gelu with the tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
     out = np.empty_like(x)
-    for s, _ in _row_blocks(x):
+    for s, _ in ad.blocks(x.shape):
         t = _gelu_tanh(x[s], out[s])
         t += 1.0
         t *= x[s]
@@ -275,7 +258,7 @@ def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     where d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2) for the
     one tanh t."""
     act = np.empty_like(x)
-    for s, (t, rest) in _row_blocks(x, 2):
+    for s, (t, rest) in ad.blocks(x.shape, 2):
         xb, u = x[s], act[s]
         _gelu_tanh(xb, t)
         np.multiply(xb, 0.5, out=rest)
@@ -300,7 +283,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
     # masked indexing: with e = exp(-|x|) the numerator is max(e, x >= 0)
     out = np.empty_like(x)
-    for s, (e,) in _row_blocks(x, 1):
+    for s, (e,) in ad.blocks(x.shape, 1):
         xb, o = x[s], out[s]
         np.abs(xb, out=e)
         np.negative(e, out=e)
@@ -316,7 +299,7 @@ def _tanh_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """g b (1 - a^2) as a fresh array: the gradient into tanh's argument of
     the gate product a b, with a = tanh(.)."""
     out = np.empty_like(g)
-    for s, (slope,) in _row_blocks(g, 1):
+    for s, (slope,) in ad.blocks(g.shape, 1):
         o = out[s]
         np.multiply(a[s], a[s], out=slope)
         np.subtract(1.0, slope, out=slope)
@@ -328,7 +311,7 @@ def _tanh_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sigmoid_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """g a (b (1 - b)), written over g: the gradient into sigmoid's argument
     of the gate product a b, with b = sigmoid(.)."""
-    for s, (slope,) in _row_blocks(g, 1):
+    for s, (slope,) in ad.blocks(g.shape, 1):
         gb = g[s]
         np.subtract(1.0, b[s], out=slope)
         slope *= b[s]
@@ -352,10 +335,7 @@ def _sigmoid_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Only route_update repeats a matmul, a K-wide one, against the two d-wide
 # matmuls of its MLP that it keeps P to avoid. The slopes exist one row
 # block at a time: each elementwise chain (gelu, its slope, sigmoid, the two
-# gate slopes) runs over blocks of ``_ROW_BLOCK`` elements from
-# ``_row_blocks``. Every element takes the same operations in the same order
-# as over the whole array, and no reduction over rows is split, so a chain
-# has the same bits for any block size.
+# gate slopes) is a blocked pass over the rows from ``ad.blocks``.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, make_X)`` takes
@@ -452,14 +432,16 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
         _accum(w, gate.T @ g_scores[:, None])
         g_gate = np.multiply(g_scores[:, None], w.data.T, out=gate)
         gPV = _tanh_grad(g_gate, a, b)
-        gH = seg.spread(g)
-        gH *= attn[:, None]
-        gH += gPV @ V.data.T
+        if H.requires_grad:   # not the bag features themselves (w/o route)
+            gH = seg.spread(g)
+            gH *= attn[:, None]
+            gH += gPV @ V.data.T
         _accum(V, H.data.T @ gPV)
         del gPV
         gPU = _sigmoid_grad(g_gate, a, b)
-        gH += gPU @ U.data.T
-        _accum(H, gH)
+        if H.requires_grad:
+            gH += gPU @ U.data.T
+            _accum(H, gH)
         _accum(U, H.data.T @ gPU)
 
     pooled = _make(seg.sum(attn[:, None] * H.data), (H, V, U, w), "gated_attention_pool", bw)

@@ -226,6 +226,32 @@ def test_every_public_autodiff_name_is_used_by_the_program():
     assert not public - used, f"unused autodiff names: {sorted(public - used)}"
 
 
+@pytest.mark.parametrize("shape,budget", [
+    ((10,), 3), ((7, 4), 9), ((7, 4), 8), ((5, 4), 3), ((6, 2, 3), 13),
+    ((3, 5), 100), ((0, 3), 4), ((2, 0), 4), ((1 << 16,), None), ((300, 7), None)])
+def test_blocks_tile_the_rows_within_the_budget(shape, budget):
+    width = math.prod(shape[1:])
+    limit = ad.BLOCK if budget is None else budget
+    covered, bases = [], None
+    for s, bufs in ad.blocks(shape, scratch=2, budget=budget):
+        n = s.stop - s.start
+        assert n >= 1 and s.start == len(covered)
+        assert n * width <= limit or (n == 1 and width > limit)
+        assert [(b.shape, b.dtype) for b in bufs] == [((n,) + shape[1:], np.float64)] * 2
+        # the same two buffers for every block
+        bases = bases or [b.base for b in bufs]
+        assert [b.base for b in bufs] == bases and bases[0] is not bases[1]
+        covered += range(s.start, s.stop)
+    assert covered == list(range(shape[0]))
+
+
+def test_blocks_read_the_default_budget_at_call_time(monkeypatch):
+    monkeypatch.setattr(ad, "BLOCK", 12)
+    assert [s for s, _ in ad.blocks((7, 5))] == [slice(0, 2), slice(2, 4), slice(4, 6),
+                                                  slice(6, 7)]
+    assert [bufs for _, bufs in ad.blocks((3, 5))] == [[]] * 2
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = Tensor([1.5], requires_grad=True)
@@ -280,7 +306,7 @@ class TestAdam:
     @pytest.mark.parametrize("block", [1, 5, 7, 1 << 15])
     def test_blocks_step_every_parameter_by_the_formula(self, block, monkeypatch):
         # parameters of 12, 5 and 12 values cut across blocks of the flat vectors
-        monkeypatch.setattr(ad, "_STEP_BLOCK", block)
+        monkeypatch.setattr(ad, "BLOCK", block)
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(7)
         params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mico import kmeans
+from mico import autodiff as ad, kmeans
 from mico.data import FeatureBag
 from mico.errors import ConfigError, DataError
 from mico.losses import SubtypeLabel
@@ -248,15 +248,27 @@ def test_plus_plus_seed_equals_the_textbook_loop_with_many_centers(case):
     assert_same_seeding(*case)
 
 
+@pytest.mark.parametrize("block", ["d", 37], ids=["row-per-block", "odd-block"])
+def test_plus_plus_seed_equals_the_textbook_loop_for_any_block(block, monkeypatch):
+    # 7 rows to a block of 37 elements, the last block short; duplicate rows
+    # make near-ties that take the blocked exact distances
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((200, 5))
+    X[100:] = X[:100]
+    monkeypatch.setattr(ad, "BLOCK", X.shape[1] if block == "d" else block)
+    for k, seed in ((3, 0), (12, 1), (40, 2)):
+        assert_same_seeding(X, k, seed)
+
+
 def count_exact_rows(monkeypatch):
     """Wrap the seeding's exact-distance helper; returns the list that each
     call appends its row count to."""
     calls = []
     exact = kmeans._exact_sq_dists
 
-    def counted(points, rows, c, buf):
+    def counted(points, rows, c):
         calls.append(len(rows))
-        return exact(points, rows, c, buf)
+        return exact(points, rows, c)
 
     monkeypatch.setattr(kmeans, "_exact_sq_dists", counted)
     return calls
@@ -275,7 +287,7 @@ class TestCertifiedSeeding:
         matmul_form = norms - 2.0 * (X @ c) + c @ c
         assert loop[0] < d2[0] < matmul_form[0]
         calls = count_exact_rows(monkeypatch)
-        kmeans._lower_to_center(d2, X, norms, c, np.empty((1, 1)))
+        kmeans._lower_to_center(d2, X, norms, c)
         assert calls == [1]
         assert np.array_equal(d2, loop)
         assert_same_seeding(np.array([[a], [x], [c[0]]]), 3, 0)
@@ -318,7 +330,7 @@ class TestCertifiedSeeding:
         d2 = np.array([np.finfo(np.float64).max])
         assert matmul_form[0] == np.inf and loop[0] < d2[0]
         assert np.isfinite(kmeans._matmul_form_err(norms, c @ c, 2)).all()
-        kmeans._lower_to_center(d2, X, norms, c, np.empty((1, 2)))
+        kmeans._lower_to_center(d2, X, norms, c)
         assert np.array_equal(d2, loop)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -339,7 +351,7 @@ class TestCertifiedSeeding:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= k * d * 8 + kmeans._SEED_BLOCK * 8 + 16 * n * 8
+        assert peak <= k * d * 8 + ad.BLOCK * 8 + 16 * n * 8
 
     def test_under_a_quarter_of_rows_take_the_exact_path(self, monkeypatch):
         # counts rows, not time: a bound far too loose, or one that certifies

@@ -390,7 +390,7 @@ def _with_specials(rng, shape):
 def _block_shapes():
     """(block, rows, d): 1, block - 1, block, block + 1 and several blocks of
     rows, at the module's block size and at a small one that d exceeds."""
-    for block in (mm._ROW_BLOCK, 64):
+    for block in (ad.BLOCK, 64):
         for d in (1, 7, 33, 512, block + 5):
             step = max(1, block // d)
             for rows in sorted({1, step - 1, step, step + 1, 3 * step + 2} - {0}):
@@ -401,7 +401,7 @@ class TestRowBlockedChains:
     @pytest.fixture(params=list(_block_shapes()), ids=lambda p: "block%d-%dx%d" % p)
     def shape(self, request, monkeypatch):
         block, rows, d = request.param
-        monkeypatch.setattr(mm, "_ROW_BLOCK", block)
+        monkeypatch.setattr(ad, "BLOCK", block)
         return rows, d
 
     @pytest.fixture(autouse=True)
@@ -452,13 +452,16 @@ def test_gelu_backward_scratch_is_one_block(rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = min(x.nbytes, max(1, mm._ROW_BLOCK // 512) * 512 * 8)
+    block = min(x.nbytes, max(1, ad.BLOCK // 512) * 512 * 8)
     assert peak <= x.nbytes + 2 * block + 4096
 
 
-@pytest.mark.parametrize("pooling", POOLINGS)
-def test_backward_never_accumulates_into_the_packed_input(monkeypatch, pooling):
-    """The bag features need no gradient, so layer 0 computes none for them."""
+@pytest.mark.parametrize("pooling,ablate_route",
+                         [(p, False) for p in POOLINGS] + [("gated_attention", True)],
+                         ids=list(POOLINGS) + ["gated_attention-without-route"])
+def test_backward_never_accumulates_into_the_packed_input(monkeypatch, pooling, ablate_route):
+    """The bag features need no gradient, so layer 0 computes none for them,
+    nor does gated attention when it pools them without routing."""
     seen = []
     accum = mm._accum
 
@@ -467,7 +470,7 @@ def test_backward_never_accumulates_into_the_packed_input(monkeypatch, pooling):
         accum(t, g)
 
     monkeypatch.setattr(mm, "_accum", spy)
-    model = small_model(pooling=pooling)
+    model = small_model(pooling=pooling, ablate_route=ablate_route)
     rng = np.random.default_rng(21)
     out, _ = model.forward([rng.standard_normal((7, 6)), rng.standard_normal((5, 6))])
     ad.backward(out, np.ones(out.shape))

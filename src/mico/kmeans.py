@@ -4,7 +4,9 @@ The seeding and the assignment step both take squared distances in the
 matmul form ‖x‖² − 2·x·c + ‖c‖², and keep one only where a rounding-error
 bound (``_matmul_form_err``) proves that the per-center loop over ‖x − c‖²
 gives the same result; every other row takes the loop's exact values. So
-each output has the loop's bits, whatever the BLAS summation order.
+each output has the loop's bits, whatever the BLAS summation order. Each
+Lloyd pass redoes only the work whose inputs changed since the pass before
+(``_lloyd_pass``), so it too keeps the bits.
 """
 
 from __future__ import annotations
@@ -58,12 +60,20 @@ def _groups(labels: np.ndarray, count: int):
     return order, sizes, spans
 
 
-def _matmul_form_err(point_sq_norms: np.ndarray, center_sq_norm: float, d: int) -> np.ndarray:
+def _point_roots(point_sq_norms: np.ndarray, d: int) -> np.ndarray:
+    """The points' share of ``_matmul_form_err``'s scale, sqrt(‖x‖² + d·s)
+    with s the smallest subnormal: it depends on the points alone, so a fit
+    takes it once for the seeding and every assignment step."""
+    return np.sqrt(point_sq_norms + d * _SUBNORMAL)
+
+
+def _matmul_form_err(point_roots: np.ndarray, center_sq_norm: float, d: int) -> np.ndarray:
     """Each row's E: how far the matmul form ‖x‖² − 2·c·x + ‖c‖² may lie
     from the per-center loop's ‖x − c‖², for any center with
     ‖c‖² ≤ ``center_sq_norm``, with room for the roundings of the tests
-    that use it. Overflow is the caller's to ignore: a bound that is not
-    finite proves nothing, and its row goes to the loop.
+    that use it; ``point_roots`` is ``_point_roots`` of the rows' ‖x‖².
+    Overflow is the caller's to ignore: a bound that is not finite proves
+    nothing, and its row goes to the loop.
 
     Both forms are within γ_{d+2}·(‖x‖ + ‖c‖)² of the true distance,
     γ_m = m·u/(1 − m·u) (Higham, *Accuracy and Stability of Numerical
@@ -74,52 +84,9 @@ def _matmul_form_err(point_sq_norms: np.ndarray, center_sq_norm: float, d: int) 
     u of E), pays for rounding a sum or difference with E of size up to
     S² + 3E, less than u·S²·(1 + 6γ_{d+4}).
     """
-    floor = d * _SUBNORMAL
-    scale = np.sqrt(point_sq_norms + floor) + np.sqrt(center_sq_norm + floor)
+    scale = point_roots + np.sqrt(center_sq_norm + d * _SUBNORMAL)
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
     return 2 * gamma * scale * scale + 8 * (d + 2) * _SUBNORMAL
-
-
-def _assign(points: np.ndarray, point_sq_norms: np.ndarray,
-            centers: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
-    """The argmin over centers of ``_sq_dists(points, centers)``, exactly.
-
-    All (k, n) distances are first taken as ‖x‖² − 2·c·x + ‖c‖², one matmul
-    into ``dist`` (a (k, n) block a caller may reuse across calls), each
-    within E of the loop's (``_matmul_form_err``, with S = ‖x‖ + max‖c‖).
-
-    A row is certified when exactly one center lies within 2E of the row's
-    minimum ``best``: dist ≤ fl(best + 2E). That center is the minimum's.
-    Any other center j has dist_j > fl(best + 2E), and the slack of each E
-    covers rounding that sum, so dist_j − best > 2E₀: the loop's distance
-    to j exceeds its distance to the certified center, and the certified
-    center is the loop's argmin. Every other row is recomputed with the
-    loop, which breaks ties toward the lower index: near-ties, duplicate
-    centers, an exact tie in the matmul form whichever index its minimum
-    would fall on, and any row whose bound is not finite (an overflowing
-    norm or cross term, or a NaN, which ``np.minimum`` passes on).
-    """
-    n, d = points.shape
-    k = centers.shape[0]
-    if dist is None:
-        dist = np.empty((k, n))
-    center_sq_norms = _row_sq_norms(centers)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(centers * -2.0, points.T, out=dist)
-        dist += point_sq_norms
-        dist += center_sq_norms[:, None]
-        bound = np.minimum.reduce(dist, axis=0)
-        bound += 2 * _matmul_form_err(point_sq_norms, center_sq_norms.max(), d)
-        near = (dist <= bound).view(np.uint8)
-    # counts and indices fit the narrowest unsigned type that holds k
-    key = np.min_scalar_type(k)
-    count = np.add.reduce(near, axis=0, dtype=key)
-    # a certified row's one near center; other rows are overwritten below
-    best = np.einsum("k,kn->n", np.arange(k, dtype=key), near).astype(np.intp)
-    open_rows = np.flatnonzero((count != 1) | ~np.isfinite(bound))
-    if open_rows.size:
-        best[open_rows] = np.argmin(_sq_dists(points[open_rows], centers), axis=1)
-    return best
 
 
 def _exact_sq_dists(points: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -137,7 +104,7 @@ def _exact_sq_dists(points: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.n
 
 
 def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndarray,
-                     c: np.ndarray) -> None:
+                     point_roots: np.ndarray, c: np.ndarray) -> None:
     """Lower ``d2`` in place to ``np.minimum(d2, np.sum((points - c) ** 2,
     axis=1))``, with those bits, at the cost of one matrix-vector product.
 
@@ -155,7 +122,7 @@ def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndar
         lower = points @ (c * -2.0)
         lower += point_sq_norms
         lower += c_sq_norm
-        lower -= _matmul_form_err(point_sq_norms, c_sq_norm, d)
+        lower -= _matmul_form_err(point_roots, c_sq_norm, d)
         kept = lower > d2
         kept &= lower < np.inf
     rows = np.flatnonzero(~kept)
@@ -163,8 +130,8 @@ def _lower_to_center(d2: np.ndarray, points: np.ndarray, point_sq_norms: np.ndar
         d2[rows] = np.minimum(d2[rows], _exact_sq_dists(points, rows, c))
 
 
-def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, point_roots: np.ndarray,
+                    k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ centers (Arthur & Vassilvitskii 2007), drawn from ``rng``
     exactly as the textbook loop over ``np.sum((points - c) ** 2, axis=1)``
     draws them. The first center's distances are the loop's, a block of rows
@@ -184,34 +151,138 @@ def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, k: int,
         else:
             idx = rng.choice(n, p=d2 / total)
         centers[i] = points[idx]
-        _lower_to_center(d2, points, point_sq_norms, centers[i])
+        _lower_to_center(d2, points, point_sq_norms, point_roots, centers[i])
     return centers
 
 
-def _lloyd_pass(points: np.ndarray, centers: np.ndarray,
-                assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the rows gathered into label order. Returns the
-    centers moved to the mean of their rows (a center with no rows keeps
-    its place), each row's squared distance to its center in ``centers``,
-    and each center's row count.
+class _Lloyd:
+    """What one Lloyd pass over fixed ``points`` leaves for the next.
 
-    A label's rows form one contiguous block of the gathered copy, with the
-    contents and layout of ``points[assignments == j]``, so its mean has
-    that array's bits. The block is then shifted in place by its center,
-    and one ``einsum`` gives every row the bits of its ``_sq_dists`` entry.
+    ``centers`` are the centers the next pass assigns rows to, and ``moved``
+    flags those whose bits differ from the last pass's: all of them before
+    the first pass, which is an ordinary pass with everything stale. After
+    a pass, ``labels`` holds each row's center, ``sizes`` each center's row
+    count, ``means`` each center's new place (the mean of its rows; a center
+    with no rows keeps its place), ``point_d2`` each row's squared distance
+    to its center, with the bits of its ``_sq_dists`` entry, and ``dist``
+    and ``held`` the matmul-form distances to ``centers`` (``_assign``).
     """
-    order, sizes, spans = _groups(assignments, centers.shape[0])
-    grouped = points[order]
-    means = centers.copy()
-    # an overflowing distance raises DataError in fit's loop
+
+    def __init__(self, points: np.ndarray, point_sq_norms: np.ndarray,
+                 point_roots: np.ndarray, centers: np.ndarray):
+        n, k = points.shape[0], centers.shape[0]
+        self.points, self.point_sq_norms, self.point_roots = points, point_sq_norms, point_roots
+        self.centers = centers
+        self.moved = np.ones(k, dtype=bool)
+        self.dist = np.empty((k, n))
+        self.held = np.arange(k)
+        self.labels = np.full(n, k, dtype=np.intp)  # label k: no pass has placed the row
+        self.sizes = np.zeros(k, dtype=np.intp)
+        self.means = np.empty_like(centers)
+        self.point_d2 = np.empty(n)
+
+
+def _assign(s: _Lloyd) -> np.ndarray:
+    """The argmin over centers of ``_sq_dists(s.points, s.centers)``, exactly.
+
+    Row r of the (k, n) block ``s.dist`` holds the matmul-form distances
+    ‖x‖² − 2·c·x + ‖c‖² to center ``s.held[r]``. Only the rows of the m
+    centers flagged in ``s.moved`` are refilled: the kept centers' rows
+    among the last m are first copied up into the moved centers' rows, and
+    the last m rows then take the moved centers, filled by one matmul
+    written straight into the block. Each entry is within E of the loop's
+    (``_matmul_form_err``, with S = ‖x‖ + max‖c‖ over the current
+    centers), whichever matmul call and summation order gave it, and
+    nothing below depends on the order of the rows.
+
+    A row is certified when exactly one center lies within 2E of the row's
+    minimum ``best``: dist ≤ fl(best + 2E). That center is the minimum's.
+    Any other center j has dist_j > fl(best + 2E), and the slack of each E
+    covers rounding that sum, so dist_j − best > 2E₀: the loop's distance
+    to j exceeds its distance to the certified center, and the certified
+    center is the loop's argmin. Every other row is recomputed with the
+    loop, which breaks ties toward the lower index: near-ties, duplicate
+    centers, an exact tie in the matmul form whichever index its minimum
+    would fall on, and any row whose bound is not finite (an overflowing
+    norm or cross term, or a NaN, which ``np.minimum`` passes on).
+    """
+    points, centers, dist, held = s.points, s.centers, s.dist, s.held
+    n, d = points.shape
+    k = centers.shape[0]
+    moved = np.flatnonzero(s.moved)
+    tail = k - len(moved)
+    stale = s.moved[held]
+    for dst, src in zip(np.flatnonzero(stale[:tail]).tolist(),
+                        (tail + np.flatnonzero(~stale[tail:])).tolist()):
+        dist[dst] = dist[src]
+        held[dst] = held[src]
+    held[tail:] = moved
+    center_sq_norms = _row_sq_norms(centers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = dist[tail:]
+        np.matmul(centers[moved] * -2.0, points.T, out=rows)
+        rows += s.point_sq_norms
+        rows += center_sq_norms[moved, None]
+        bound = np.minimum.reduce(dist, axis=0)
+        bound += 2 * _matmul_form_err(s.point_roots, center_sq_norms.max(), d)
+        near = (dist <= bound).view(np.uint8)
+    # counts and indices fit the narrowest unsigned type that holds k
+    key = np.min_scalar_type(k)
+    count = np.add.reduce(near, axis=0, dtype=key)
+    # a certified row's one near center; other rows are overwritten below
+    best = np.einsum("k,kn->n", held.astype(key), near).astype(np.intp)
+    open_rows = np.flatnonzero((count != 1) | ~np.isfinite(bound))
+    if open_rows.size:
+        best[open_rows] = np.argmin(_sq_dists(points[open_rows], centers), axis=1)
+    return best
+
+
+def _lloyd_pass(s: _Lloyd) -> None:
+    """One Lloyd pass that redoes only what changed since the last.
+
+    Assignment: the certified argmin depends on the points and the centers'
+    bits alone, so when no center moved, every row keeps its label;
+    otherwise ``_assign`` refills only the moved centers' rows of ``dist``.
+
+    Update: a center whose rows are the same as in the last pass keeps its
+    mean, which was the same reduction over the same rows, and a row keeps
+    its distance when neither its center's rows nor its center's bits
+    changed. The rows of every other center are gathered into label order.
+    Each such center's rows form one contiguous block, with the contents
+    and layout of ``points[labels == j]``: ``np.add.reduce`` over it and a
+    division by its count give ``block.mean(axis=0)``'s bits. The block is
+    then shifted in place by its center, and one ``einsum`` gives each of
+    its rows the bits of its ``_sq_dists`` entry.
+    """
+    k = s.centers.shape[0]
+    labels = s.labels
+    if s.moved.any():
+        labels = _assign(s)
+    left = labels != s.labels
+    # before the first pass every row holds label k, which falls off the end
+    regrouped = np.zeros(k + 1, dtype=bool)
+    regrouped[s.labels[left]] = True
+    regrouped[labels[left]] = True
+    regrouped = regrouped[:k]
+    stale = regrouped | s.moved
+    rows = np.flatnonzero(stale[labels])
+    order, sizes, spans = _groups(labels[rows], k)
+    rows = rows[order]
+    grouped = np.take(s.points, rows, axis=0)
+    # an overflowing sum or distance raises DataError in fit's loop
     with np.errstate(over="ignore"):
         for j, start, end in spans:
             block = grouped[start:end]
-            means[j] = block.mean(axis=0)
-            block -= centers[j]
-        point_d2 = np.empty(len(order))
-        point_d2[order] = _row_sq_norms(grouped)
-    return means, point_d2, sizes
+            if regrouped[j]:
+                np.add.reduce(block, axis=0, out=s.means[j])
+            block -= s.centers[j]
+        s.point_d2[rows] = _row_sq_norms(grouped)
+    s.sizes[stale] = sizes[stale]
+    fresh = regrouped & (s.sizes > 0)
+    s.means[fresh] /= s.sizes[fresh, None]
+    empty = s.sizes == 0
+    s.means[empty] = s.centers[empty]
+    s.labels = labels
 
 
 def fit(instances: np.ndarray, k: int, max_iters: int = 100,
@@ -235,25 +306,30 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
 
     rng = np.random.default_rng(seed)
     x_sq_norms = _row_sq_norms(X)
-    centers = _plus_plus_seed(X, x_sq_norms, k, rng)
-    dist = np.empty((k, n))
+    x_roots = _point_roots(x_sq_norms, X.shape[1])
+    s = _Lloyd(X, x_sq_norms, x_roots, _plus_plus_seed(X, x_sq_norms, x_roots, k, rng))
     history: list[float] = []
     iters = 0
 
     for iters in range(1, max_iters + 1):
-        assignments = _assign(X, x_sq_norms, centers, dist)
-        new_centers, point_d2, sizes = _lloyd_pass(X, centers, assignments)
-        inertia = float(point_d2.sum())
+        _lloyd_pass(s)
+        inertia = float(s.point_d2.sum())
         if not np.isfinite(inertia):
             raise DataError(_OVERFLOW)
         history.append(inertia)
 
-        # repair empty clusters with the globally worst-fit point
-        for j in np.flatnonzero(sizes == 0):
-            far = int(np.argmax(point_d2))
-            new_centers[j] = X[far]
-            point_d2[far] = 0.0
-        centers = new_centers
+        # repair empty clusters with the globally worst-fit point; the zeros
+        # go into a copy, since the next pass may keep the distances
+        centers = s.means.copy()
+        empty = np.flatnonzero(s.sizes == 0)
+        if empty.size:
+            point_d2 = s.point_d2.copy()
+            for j in empty:
+                far = int(np.argmax(point_d2))
+                centers[j] = X[far]
+                point_d2[far] = 0.0
+        s.moved = (centers.view(np.uint64) != s.centers.view(np.uint64)).any(axis=1)
+        s.centers = centers
 
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
@@ -262,9 +338,8 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
 
     # final pass so that every returned center is exactly the mean of its
     # assigned points (clusters left empty by the last update keep their center)
-    assignments = _assign(X, x_sq_norms, centers, dist)
-    centers = _lloyd_pass(X, centers, assignments)[0]
-    return KMeansResult(centers=centers, assignments=assignments,
+    _lloyd_pass(s)
+    return KMeansResult(centers=s.means, assignments=s.labels,
                         inertia_history=history, iterations_run=iters)
 
 

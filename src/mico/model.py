@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
@@ -42,9 +43,15 @@ class Assignment:
     """Record of one routing pass over a pack of B bags: similarities, hard
     choice, aggregation."""
     alignment: np.ndarray    # (sum of M, K) cosine similarities
-    indices: np.ndarray      # (sum of M,) chosen anchor per instance
     counts: np.ndarray       # (B*K,) instances per anchor, bag-major
     aggregated: np.ndarray   # (B*K, d) aggregated anchor values, bag-major
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """(sum of M,) chosen anchor per instance, the row argmax of
+        ``alignment`` (ties to the lowest anchor), taken when first read:
+        scoring never reads it, and ``ste_assign`` takes its own."""
+        return np.argmax(self.alignment, axis=1)
 
 
 def check_field_types(config) -> None:
@@ -587,8 +594,7 @@ class MicoModel:
             A_hat = ste_assign(A) if assign_mode == "hard" else _soft_assign(A)
             S_agg, counts = aggregate_anchors(H, A_hat, S, seg)
             # no tape array is written in place, so the record holds references
-            assignments.append(Assignment(alignment=A.data, indices=np.argmax(A.data, axis=1),
-                                          counts=counts, aggregated=S_agg.data))
+            assignments.append(Assignment(alignment=A.data, counts=counts, aggregated=S_agg.data))
             if not cfg.ablate_route:
                 H = route_update(H, A_hat, S_agg,
                                  self.params[f"route{l}.w1"], self.params[f"route{l}.b1"],

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,15 +134,20 @@ def oracle_recenter(centers, points, assignments):
             centers[j] = points[mask].mean(axis=0)
 
 
-def oracle_fit(X, k, max_iters=100, tol=1e-6, seed=0):
+def oracle_fit(X, k, max_iters=100, tol=1e-6, seed=0, start=None, passes=None):
+    """``start``, if given, replaces the k-means++ centers; ``passes``, if
+    given, collects each pass's centers and assignments, the final pass's
+    too."""
     n = X.shape[0]
     rng = np.random.default_rng(seed)
-    centers = oracle_plus_plus_seed(X, k, rng)
+    centers = oracle_plus_plus_seed(X, k, rng) if start is None else start.copy()
     history = []
     iters = 0
     for iters in range(1, max_iters + 1):
         d2 = oracle_sq_dists(X, centers)
         assignments = np.argmin(d2, axis=1)
+        if passes is not None:
+            passes.append((centers.copy(), assignments))
         history.append(float(d2[np.arange(n), assignments].sum()))
         new_centers = centers.copy()
         oracle_recenter(new_centers, X, assignments)
@@ -157,13 +163,16 @@ def oracle_fit(X, k, max_iters=100, tol=1e-6, seed=0):
             if prev - cur < tol * max(prev, 1e-300):
                 break
     assignments = np.argmin(oracle_sq_dists(X, centers), axis=1)
+    if passes is not None:
+        passes.append((centers.copy(), assignments))
     oracle_recenter(centers, X, assignments)
     return kmeans.KMeansResult(centers=centers, assignments=assignments,
                                inertia_history=history, iterations_run=iters)
 
 
 def assert_same_fit(got, want):
-    assert np.array_equal(got.centers, want.centers)
+    # bit patterns, so that −0.0 and +0.0 differ
+    assert np.array_equal(got.centers.view(np.uint64), want.centers.view(np.uint64))
     assert np.array_equal(got.assignments, want.assignments)
     assert got.inertia_history == want.inertia_history
     assert got.iterations_run == want.iterations_run
@@ -226,11 +235,82 @@ def test_fit_equals_the_per_center_lloyd_loop_with_many_centers(case):
     assert_same_fit(kmeans.fit(X, k, seed=seed), oracle_fit(X, k, seed=seed))
 
 
+def emptying_start(rng, X, k):
+    """Start centers, k >= 4, under which a cluster empties in the second
+    pass; rewrites the blob rows ``X`` in place.
+
+    Blobs at ±20·u, and a start center between them at 0 with the blobs'
+    own at ±40·u: the first pass gives the middle center the inner halves
+    of both blobs, its mean falls between them where no row lies, and the
+    second pass takes every row from it. The other rows move far off, each
+    of their start centers on one of them."""
+    n, d = X.shape
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    half = n // 4
+    X[:half] = 20 * u + rng.standard_normal((half, d))
+    X[half:2 * half] = -20 * u + rng.standard_normal((half, d))
+    X[2 * half:] += 1000 * u
+    far = X[2 * half + rng.choice(n - 2 * half, k - 3, replace=False)]
+    return np.concatenate([[0 * u, 40 * u, -40 * u], far])[rng.permutation(k)]
+
+
+@st.composite
+def long_fit_cases(draw):
+    """(X, k, seed, start) for long fits whose later passes move few
+    centers: blob data with n 200–2000, d 1–40, k 2–32 and at most k/4
+    overlapping blobs, with duplicated points, or with start centers under
+    which a cluster empties in the second pass, features scaled by 1e±100.
+    ``start`` is None for the k-means++ seeding."""
+    n = draw(st.integers(200, 2000))
+    d = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["blobs", "duplicates", "empties"]))
+    means = 2 * rng.standard_normal((draw(st.integers(1, max(1, k // 4))), d))
+    X = means[rng.integers(0, len(means), n)] + rng.standard_normal((n, d))
+    start = None
+    if kind == "duplicates":
+        X = X[rng.integers(0, draw(st.integers(1, n)), n)]
+    elif kind == "empties":
+        k = max(k, 4)
+        start = emptying_start(rng, X, k)
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    return X * scale, k, draw(st.integers(0, 1000)), None if start is None else start * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(long_fit_cases())
+def test_long_low_churn_fits_equal_the_per_center_lloyd_loop(case):
+    X, k, seed, start = case
+    passes = []
+    want = oracle_fit(X, k, seed=seed, start=start, passes=passes)
+    if start is None:
+        got = kmeans.fit(X, k, seed=seed)
+    else:
+        sizes = [np.bincount(a, minlength=k) for _, a in passes]
+        assert np.any((sizes[0] > 0) & (sizes[1] == 0))
+        with mock.patch.object(kmeans, "_plus_plus_seed", lambda *args: start.copy()):
+            got = kmeans.fit(X, k, seed=seed)
+    assert_same_fit(got, want)
+
+
+def norms_and_roots(X):
+    """The per-fit point terms that the seeding and assignment take."""
+    norms = kmeans._row_sq_norms(X)
+    return norms, kmeans._point_roots(norms, X.shape[1])
+
+
+def certified_argmin(X, C):
+    """``kmeans._assign`` with every center's row of the block filled."""
+    return kmeans._assign(kmeans._Lloyd(X, *norms_and_roots(X), C))
+
+
 def assert_same_seeding(X, k, seed):
     """The same centers as the textbook loop, and the generator left in the
     same state."""
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = kmeans._plus_plus_seed(X, kmeans._row_sq_norms(X), k, got_rng)
+    got = kmeans._plus_plus_seed(X, *norms_and_roots(X), k, got_rng)
     assert np.array_equal(got, oracle_plus_plus_seed(X, k, want_rng))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert got_rng.random() == want_rng.random()
@@ -281,13 +361,13 @@ class TestCertifiedSeeding:
         x, a = 12345.0, 12345.0 - 0.3
         X = np.array([[x]])
         d2 = np.array([(x - a) ** 2])
-        norms = kmeans._row_sq_norms(X)
+        norms, roots = norms_and_roots(X)
         c = np.nextafter(np.array([x + 0.3]), 0.0)
         loop = np.sum((X - c) ** 2, axis=1)
         matmul_form = norms - 2.0 * (X @ c) + c @ c
         assert loop[0] < d2[0] < matmul_form[0]
         calls = count_exact_rows(monkeypatch)
-        kmeans._lower_to_center(d2, X, norms, c)
+        kmeans._lower_to_center(d2, X, norms, roots, c)
         assert calls == [1]
         assert np.array_equal(d2, loop)
         assert_same_seeding(np.array([[a], [x], [c[0]]]), 3, 0)
@@ -323,14 +403,14 @@ class TestCertifiedSeeding:
                        float.fromhex("-0x1.1abb043cdd43dp+510")]])
         c = np.array([float.fromhex("0x1.0d2b4ced63033p+510"),
                       float.fromhex("0x1.35ad2aeb037acp+511")])
-        norms = kmeans._row_sq_norms(X)
+        norms, roots = norms_and_roots(X)
         with np.errstate(over="ignore"):
             matmul_form = X @ (c * -2.0) + norms + c @ c
         loop = np.sum((X - c) ** 2, axis=1)
         d2 = np.array([np.finfo(np.float64).max])
         assert matmul_form[0] == np.inf and loop[0] < d2[0]
-        assert np.isfinite(kmeans._matmul_form_err(norms, c @ c, 2)).all()
-        kmeans._lower_to_center(d2, X, norms, c)
+        assert np.isfinite(kmeans._matmul_form_err(roots, c @ c, 2)).all()
+        kmeans._lower_to_center(d2, X, norms, roots, c)
         assert np.array_equal(d2, loop)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -344,10 +424,10 @@ class TestCertifiedSeeding:
         # (n, d) difference alone would be 8 MiB
         n, k, d = 2048, 64, 512
         X = np.random.default_rng(0).standard_normal((n, d))
-        norms = kmeans._row_sq_norms(X)
+        norms, roots = norms_and_roots(X)
         tracemalloc.start()
         try:
-            kmeans._plus_plus_seed(X, norms, k, np.random.default_rng(0))
+            kmeans._plus_plus_seed(X, norms, roots, k, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -359,7 +439,7 @@ class TestCertifiedSeeding:
         n, k, d = 2048, 64, 512
         X = np.random.default_rng(0).standard_normal((n, d))
         calls = count_exact_rows(monkeypatch)
-        kmeans._plus_plus_seed(X, kmeans._row_sq_norms(X), k, np.random.default_rng(0))
+        kmeans._plus_plus_seed(X, *norms_and_roots(X), k, np.random.default_rng(0))
         assert calls[0] == n  # the first center's full pass
         assert sum(calls[1:]) / (n * (k - 1)) < 0.25
 
@@ -395,7 +475,7 @@ class TestCertifiedAssignment:
         X = np.array([[1.0e154]])
         C = np.array([[1.34e154], [0.85e154]])
         assert np.argmin(kmeans._sq_dists(X, C)[0]) == 1
-        assert kmeans._assign(X, kmeans._row_sq_norms(X), C)[0] == 1
+        assert certified_argmin(X, C)[0] == 1
         X = np.array([[1.34e154], [1.0e154], [0.85e154], [0.8e154]])
         assert_same_fit(kmeans.fit(X, 2, seed=0), oracle_fit(X, 2, seed=0))
 
@@ -408,15 +488,114 @@ class TestCertifiedAssignment:
         assert loop[0, 0] == loop[0, 1]
         matmul_form = kmeans._row_sq_norms(X)[:, None] - 2.0 * (X @ C.T) + kmeans._row_sq_norms(C)
         assert np.argmin(matmul_form[0]) == 1
-        assert kmeans._assign(X, kmeans._row_sq_norms(X), C)[0] == 0
+        assert certified_argmin(X, C)[0] == 0
 
     def test_duplicate_centers_go_to_the_lower_index(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 6))
         C = np.repeat(rng.standard_normal((3, 6)), 2, axis=0)
-        got = kmeans._assign(X, kmeans._row_sq_norms(X), C)
+        got = certified_argmin(X, C)
         assert np.array_equal(got, np.argmin(oracle_sq_dists(X, C), axis=1))
         assert np.all(got % 2 == 0)
+
+
+def expected_work(passes, k):
+    """Per pass of ``oracle_fit(passes=...)``: the centers whose bits moved
+    since the pass before (None when none did: the pass has no assignment
+    to redo), and per center the rows a pass must gather, which are those
+    of each center that moved or whose rows changed."""
+    work, before = [], None
+    for centers, labels in passes:
+        sizes = np.bincount(labels, minlength=k)
+        if before is None:
+            moved = np.ones(k, dtype=bool)
+            regrouped = sizes > 0
+        else:
+            moved = (centers.view(np.uint64) != before[0].view(np.uint64)).any(axis=1)
+            left = labels != before[1]
+            regrouped = np.zeros(k, dtype=bool)
+            regrouped[labels[left]] = regrouped[before[1][left]] = True
+        work.append((np.flatnonzero(moved).tolist() if moved.any() else None,
+                     np.where(moved | regrouped, sizes, 0).tolist()))
+        before = centers, labels
+    return work
+
+
+def spy_on_passes(monkeypatch, k):
+    """Per ``_lloyd_pass`` call: the centers whose rows of the distance
+    block ``_assign`` rewrote (None without an ``_assign`` call), and per
+    center the rows gathered."""
+    work = []
+    lloyd_pass, assign, groups = kmeans._lloyd_pass, kmeans._assign, kmeans._groups
+
+    def counted_pass(s):
+        work.append([None, [0] * k])
+        return lloyd_pass(s)
+
+    def counted_assign(s):
+        dist, held = s.dist.copy(), s.held.copy()
+        labels = assign(s)
+        before = dist[np.argsort(held)].view(np.uint64)  # center j's row at row j
+        after = s.dist[np.argsort(s.held)].view(np.uint64)
+        changed = (before != after).any(axis=1)
+        work[-1][0] = np.flatnonzero(changed).tolist()
+        return labels
+
+    def counted_groups(labels, count):
+        work[-1][1][:] = np.bincount(labels, minlength=count).tolist()
+        return groups(labels, count)
+
+    monkeypatch.setattr(kmeans, "_lloyd_pass", counted_pass)
+    monkeypatch.setattr(kmeans, "_assign", counted_assign)
+    monkeypatch.setattr(kmeans, "_groups", counted_groups)
+    return work
+
+
+def test_each_pass_redoes_only_what_changed(monkeypatch):
+    # three overlapping blobs and twelve centers: the later passes move a
+    # few centers, and the last ones none
+    rng = np.random.default_rng(0)
+    X = np.concatenate([c + rng.standard_normal((500, 6)) for c in 2 * rng.standard_normal((3, 6))])
+    k = 12
+    passes = []
+    want = oracle_fit(X, k, seed=0, passes=passes)
+    work = spy_on_passes(monkeypatch, k)
+    assert_same_fit(kmeans.fit(X, k, seed=0), want)
+    assert [tuple(w) for w in work] == expected_work(passes, k)
+    moved = [len(centers or ()) for centers, _ in work]
+    assert moved[0] == k and 0 < min(moved[1:-3]) and max(moved[-6:-3]) < k // 2
+    # a pass that changes no row leaves the same centers: the pass after it
+    # runs no matmul and gathers nothing
+    same = [p for p in range(1, len(passes)) if np.array_equal(passes[p][1], passes[p - 1][1])]
+    assert same and same[0] + 1 < len(work)
+    for p in same:
+        if p + 1 < len(work):
+            assert work[p + 1] == [None, [0] * k]
+
+
+def test_the_repair_leaves_no_stale_distance(monkeypatch):
+    # each pass starts with every row's exact distance to the last pass's
+    # centers, also after a pass that re-seeded an emptied cluster
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((400, 3))
+    start = emptying_start(rng, X, 6)
+    passes, used = [], []
+    oracle_fit(X, 6, start=start, passes=passes)
+    sizes = [np.bincount(a, minlength=6) for _, a in passes]
+    assert np.any((sizes[0] > 0) & (sizes[1] == 0))
+    lloyd_pass = kmeans._lloyd_pass
+
+    def checked(s):
+        if used:
+            exact = oracle_sq_dists(X, used[-1])[np.arange(len(X)), s.labels]
+            assert np.array_equal(s.point_d2.view(np.uint64), exact.view(np.uint64))
+        lloyd_pass(s)
+        used.append(s.centers)
+
+    monkeypatch.setattr(kmeans, "_lloyd_pass", checked)
+    monkeypatch.setattr(kmeans, "_plus_plus_seed", lambda *args: start.copy())
+    kmeans.fit(X, 6)
+    assert len(used) == len(passes)
 
 
 def sq_dists_3d(points, centers):

@@ -667,6 +667,23 @@ class TestForward:
         with pytest.raises(DataError):
             small_model().forward(np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("mode,argmaxes", [("hard", 3), ("soft", 0)])
+    def test_forward_takes_one_argmax_per_hard_layer(self, monkeypatch, mode, argmaxes):
+        # ste_assign's own; the record's indices are the same argmax,
+        # taken when first read
+        model = small_model(k0=8, layers=3)
+        X = np.random.default_rng(22).standard_normal((11, 6))
+        calls = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda *a, **kw: calls.append(1) or argmax(*a, **kw))
+        with ad.no_grad():
+            _, assigns = model.forward(X, assign_mode=mode)
+        assert len(calls) == argmaxes
+        for a in assigns:
+            assert np.array_equal(a.indices, argmax(a.alignment, axis=1))
+            assert a.indices is a.indices
+        assert len(calls) == argmaxes + 3
+
     def test_anchor_mean_pooling_runs(self):
         model = small_model(pooling="anchor_mean")
         rng = np.random.default_rng(21)

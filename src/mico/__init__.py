@@ -15,7 +15,7 @@ from .kmeans import KMeansResult, fit as kmeans_fit, subsample_pool
 from .losses import SubtypeLabel, SurvivalLabel, cross_entropy, survival_nll
 from .metrics import binary_auc, c_index, classification_metrics
 from .model import Assignment, MicoConfig, MicoModel
-from .train import RunReport, TrainConfig, ablate, evaluate_model, sweep_anchors, train
+from .train import RunReport, TrainConfig, ablate, evaluate_model, sweep_anchors
 
 __all__ = [
     "Adam", "Tensor", "backward", "zero_grad",
@@ -24,7 +24,7 @@ __all__ = [
     "SubtypeLabel", "SurvivalLabel", "cross_entropy", "survival_nll",
     "binary_auc", "c_index", "classification_metrics",
     "Assignment", "MicoConfig", "MicoModel",
-    "RunReport", "TrainConfig", "ablate", "evaluate_model", "sweep_anchors", "train",
+    "RunReport", "TrainConfig", "ablate", "evaluate_model", "sweep_anchors",
 ]
 
 __version__ = "0.1.0"

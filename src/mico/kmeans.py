@@ -21,6 +21,8 @@ from .errors import ConfigError, DataError
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 _OVERFLOW = "kmeans: squared distances between instances overflow; rescale the features"
+MAX_ITERS = 100
+TOL = 1e-6
 
 
 @dataclass
@@ -285,12 +287,11 @@ def _lloyd_pass(s: _Lloyd) -> None:
     s.labels = labels
 
 
-def fit(instances: np.ndarray, k: int, max_iters: int = 100,
-        tol: float = 1e-6, seed: int = 0) -> KMeansResult:
+def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Cluster instance rows into ``k`` centers.
 
-    Stops when the relative inertia improvement drops below ``tol`` or after
-    ``max_iters`` Lloyd iterations. Empty clusters are re-seeded to the point
+    Stops when the relative inertia improvement drops below ``TOL`` or after
+    ``MAX_ITERS`` Lloyd iterations. Empty clusters are re-seeded to the point
     currently farthest from its assigned center, so exactly ``k`` centers
     always survive. Features whose squared distances overflow raise
     DataError. Temporaries are (k, n) and (n, d), never (n, k, d).
@@ -311,7 +312,7 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
     history: list[float] = []
     iters = 0
 
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         _lloyd_pass(s)
         inertia = float(s.point_d2.sum())
         if not np.isfinite(inertia):
@@ -333,7 +334,7 @@ def fit(instances: np.ndarray, k: int, max_iters: int = 100,
 
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
-            if prev - cur < tol * max(prev, 1e-300):
+            if prev - cur < TOL * max(prev, 1e-300):
                 break
 
     # final pass so that every returned center is exactly the mean of its

@@ -5,22 +5,19 @@ gradients of the summed loss, routing records. Evaluation scores a split in
 packs under ``no_grad`` and must give the metrics of per-bag scoring.
 """
 
-import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from mico import autodiff as ad
+from mico import train as train_mod
 from mico.autodiff import Adam, Tensor
 from mico.data import FeatureBag
 from mico.errors import DataError
 from mico.losses import SubtypeLabel, SurvivalLabel
 from mico.model import MicoConfig, MicoModel, aggregate_anchors
 from mico.train import _pack_loss, end_to_end_gradcheck, evaluate_model
-
-# the module, not the ``mico.train`` function the package exports
-train_mod = importlib.import_module("mico.train")
 
 CONFIGS = list(itertools.product(
     ("survival", "subtype"), ("gated_attention", "anchor_mean"),

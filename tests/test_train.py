@@ -1,12 +1,13 @@
 import copy
-import importlib
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
 from mico import autodiff as ad
+from mico import train as train_mod
 from mico.autodiff import Adam, Tensor, zero_grad
 from mico.data import SynthConfig, generate
 from mico.errors import ConfigError, DataError, NumericalError
@@ -27,8 +28,10 @@ from mico.train import (
 )
 
 
-# the module, not the ``mico.train`` function the package exports
-train_mod = importlib.import_module("mico.train")
+def test_mico_train_names_the_module():
+    import mico
+    assert isinstance(mico.train, types.ModuleType)
+    assert mico.train.train is train
 
 
 def small_bags(task="subtype", n=24, seed=0, **kw):

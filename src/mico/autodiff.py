@@ -302,20 +302,23 @@ def blocks(shape: tuple[int, ...], scratch: int = 0, budget: int | None = None):
 # optimizer
 
 
+BETAS = (0.9, 0.999)   # Adam's moment decay rates
+EPS = 1e-8             # and the guard added to its denominator
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict.
 
     The optimizer owns four flat float64 vectors: the parameter values, their
-    gradients and the two moments. Each parameter's ``data`` becomes a view
-    of its slice of the values, and backward writes its gradient into its
-    slice of the gradients, so a step is a dozen NumPy calls per block of
-    the vectors rather than a dozen per parameter. ``m`` and ``v`` map each
-    name to a view of its moments. A parameter joins one optimizer in its
+    gradients and the two moments ``_m`` and ``_v``, each parameter's slice at
+    its offset in dict order. Each parameter's ``data`` becomes a view of its
+    slice of the values, and backward writes its gradient into its slice of
+    the gradients, so a step is a dozen NumPy calls per block of the vectors
+    rather than a dozen per parameter. A parameter joins one optimizer in its
     lifetime: another one would step a buffer the parameter no longer uses.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         seen: set[int] = set()
         for name, p in params.items():
             if p._grad_slot is not None or id(p) in seen:
@@ -323,23 +326,17 @@ class Adam:
             seen.add(id(p))
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         n = sum(p.data.size for p in params.values())
         self._values, self._grads = np.empty(n), np.empty(n)
         self._m, self._v = np.zeros(n), np.zeros(n)
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         lo = 0
-        for name, p in params.items():
+        for p in params.values():
             hi = lo + p.data.size
             values = self._values[lo:hi].reshape(p.data.shape)
             values[...] = p.data
             p.data = values
             p._grad_slot = self._grads[lo:hi].reshape(values.shape)
-            self.m[name] = self._m[lo:hi].reshape(values.shape)
-            self.v[name] = self._v[lo:hi].reshape(values.shape)
             lo = hi
 
     def step(self) -> None:
@@ -354,7 +351,7 @@ class Adam:
                                      f"parameter {name!r} of shape {p.data.shape}")
                 np.copyto(p._grad_slot, p.grad)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         # in place, with the operations and their order of the textbook
         # m = b1 m + (1 - b1) g, so the results are the same bits
@@ -371,7 +368,7 @@ class Adam:
             s *= self.lr
             np.divide(v, c2, out=r)     # v_hat
             np.sqrt(r, out=r)
-            r += self.eps
+            r += EPS
             s /= r
             self._values[blk] -= s
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,17 @@ class FeatureBag:
             raise DataError(f"bag {self.bag_id!r}: features must be (M>=1, d)")
         if not np.all(np.isfinite(self.features)):
             raise DataError(f"bag {self.bag_id!r}: non-finite features")
+        # the bag file stores M rows of each, so another shape cannot round-trip
         if self.coords is not None:
             self.coords = np.asarray(self.coords, dtype=np.float64)
+            if self.coords.shape != (self.n_instances, 2):
+                raise DataError(f"bag {self.bag_id!r}: coords must be ({self.n_instances}, 2), "
+                                f"got {self.coords.shape}")
         if self.true_type_map is not None:
             self.true_type_map = np.asarray(self.true_type_map, dtype=np.int32)
+            if self.true_type_map.shape != (self.n_instances,):
+                raise DataError(f"bag {self.bag_id!r}: true_type_map must be "
+                                f"({self.n_instances},), got {self.true_type_map.shape}")
 
     @property
     def n_instances(self) -> int:
@@ -265,8 +273,9 @@ def make_folds(bag_ids: list[str], n_folds: int = 4,
     to-nearest with the train split absorbing the remainder.
     """
     n = len(bag_ids)
-    if len(set(bag_ids)) != n:
-        raise DataError("bag ids are not unique")
+    repeated = [b for b, count in Counter(bag_ids).items() if count > 1]
+    if repeated:
+        raise DataError(f"bag id {repeated[0]!r} occurs more than once")
     n_test = round(SPLIT[2] * n)
     n_val = round(SPLIT[1] * n)
     if n_test < 1 or n_val < 1 or n - n_test - n_val < 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import get_type_hints
 
@@ -116,9 +116,6 @@ class MicoConfig(ModelFields):
     @property
     def head_size(self) -> int:
         return self.survival_bins if self.task == "survival" else self.subtype_classes
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MicoConfig":
@@ -548,6 +545,9 @@ class MicoModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        extra = [name for name in state if name not in self.params]
+        if extra:
+            raise ConfigError(f"checkpoint has parameter {extra[0]!r}, which the model lacks")
         for name, p in self.params.items():
             if name not in state:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")

@@ -117,20 +117,8 @@ class RunReport:
     notes: list[str]
     wall_clock_s: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "config": self.config,
-            "folds": [asdict(f) for f in self.folds],
-            "mean": self.mean,
-            "std": self.std,
-            "notes": self.notes,
-        }
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _metric_names(task: str) -> list[str]:
@@ -253,8 +241,8 @@ def _init_anchors(config: TrainConfig, train_bags: list[FeatureBag],
 
 def train_fold(config: TrainConfig, fold_index: int,
                train_bags: list[FeatureBag], val_bags: list[FeatureBag],
-               test_bags: list[FeatureBag], fold_seed: np.random.SeedSequence,
-               val_metric_fn=None) -> tuple[FoldResult, MicoModel, np.ndarray | None]:
+               test_bags: list[FeatureBag], fold_seed: np.random.SeedSequence
+               ) -> tuple[FoldResult, MicoModel, np.ndarray | None]:
     """Train one fold; returns the result, the best-state model and the
     survival bin edges (None for subtype)."""
     d = train_bags[0].features.shape[1]
@@ -307,10 +295,7 @@ def train_fold(config: TrainConfig, fold_index: int,
                 pending = 0
         loss_curve.append(float(np.mean(losses)))
 
-        if val_metric_fn is not None:
-            val_metric = float(val_metric_fn(model, val_bags, epoch))
-        else:
-            val_metric = _val_score(evaluate_model(model, val_bags), config.task)
+        val_metric = _val_score(evaluate_model(model, val_bags), config.task)
         val_curve.append(val_metric)
 
         if stopper.update(val_metric, epoch):
@@ -336,17 +321,16 @@ def train_fold(config: TrainConfig, fold_index: int,
     return result, model, edges
 
 
-def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = None,
-          val_metric_fn=None) -> RunReport:
+def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = None) -> RunReport:
     """Full cross-validated run; optionally writes per-fold checkpoints and
     the report to ``out_dir``."""
     config.validate()
     _check_task_labels(bags, config.task, config.subtype_classes)
     start = time.monotonic()
 
+    # every bag's id, so that make_folds rejects a repeated one
+    folds = make_folds(sorted(b.bag_id for b in bags), n_folds=config.n_folds, seed=config.seed)
     by_id = {b.bag_id: b for b in bags}
-    ids = sorted(by_id)
-    folds = make_folds(ids, n_folds=config.n_folds, seed=config.seed)
     _check_feature_dim(bags, bags[0].features.shape[1], f"the first bag {bags[0].bag_id!r}")
     root_ss = np.random.SeedSequence(config.seed)
     fold_seeds = root_ss.spawn(config.n_folds)
@@ -358,10 +342,10 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
         result, model, edges = train_fold(
             config, i,
             [by_id[b] for b in train_ids], [by_id[b] for b in val_ids],
-            [by_id[b] for b in test_ids], fold_seeds[i], val_metric_fn=val_metric_fn)
+            [by_id[b] for b in test_ids], fold_seeds[i])
         results.append(result)
         if out_dir is not None:
-            meta = model.config.to_dict()
+            meta = asdict(model.config)
             meta["fold"] = i
             meta["best_epoch"] = result.best_epoch
             if edges is not None:
@@ -492,19 +476,22 @@ def export_assignments(ckpt_path: str, bag: FeatureBag) -> str:
 # ---------------------------------------------------------------------------
 # finite-difference gradient suite
 
-def finite_difference_grad(f, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+FD_STEP = 1e-6
+
+
+def finite_difference_grad(f, arr: np.ndarray) -> np.ndarray:
     """Central finite differences of scalar f with respect to every entry."""
     g = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
         orig = arr[idx]
-        arr[idx] = orig + eps
+        arr[idx] = orig + FD_STEP
         hi = f()
-        arr[idx] = orig - eps
+        arr[idx] = orig - FD_STEP
         lo = f()
         arr[idx] = orig
-        g[idx] = (hi - lo) / (2.0 * eps)
+        g[idx] = (hi - lo) / (2.0 * FD_STEP)
         it.iternext()
     return g
 

@@ -260,31 +260,31 @@ class TestAdam:
         assert np.array_equal(p.data, [1.5])
 
     def test_single_step_matches_bias_corrected_formula(self):
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 0.1, ad.BETAS, ad.EPS
         p = Tensor([2.0], requires_grad=True)
         p.grad = np.ones(1)
-        Adam({"p": p}, lr=lr, betas=(b1, b2), eps=eps).step()
+        Adam({"p": p}, lr=lr).step()
         # t=1: m_hat = v_hat = 1, so the step is lr / (1 + eps)
         expected = 2.0 - lr * 1.0 / (math.sqrt(1.0) + eps)
         assert abs(p.data[0] - expected) < 1e-15
 
     def test_two_steps_match_closed_form_ema(self):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, (b1, b2) = 0.01, ad.BETAS
         g = 0.7
         p = Tensor([0.0], requires_grad=True)
-        opt = Adam({"p": p}, lr=lr, betas=(b1, b2), eps=eps)
+        opt = Adam({"p": p}, lr=lr)
         for _ in range(2):
             p.grad = np.array([g])
             opt.step()
         # constant gradient: m_t = (1 - b1^t) g, v_t = (1 - b2^t) g^2
-        assert abs(opt.m["p"][0] - (1 - b1 ** 2) * g) < 1e-15
-        assert abs(opt.v["p"][0] - (1 - b2 ** 2) * g * g) < 1e-15
+        assert abs(opt._m[0] - (1 - b1 ** 2) * g) < 1e-15
+        assert abs(opt._v[0] - (1 - b2 ** 2) * g * g) < 1e-15
 
     def test_in_place_steps_equal_the_out_of_place_formula(self):
-        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 1e-2, ad.BETAS, ad.EPS
         rng = np.random.default_rng(6)
         p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        opt = Adam({"p": p}, lr=lr, betas=(b1, b2), eps=eps)
+        opt = Adam({"p": p}, lr=lr)
         data, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
         for t in range(1, 8):
             g = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 3)
@@ -296,7 +296,8 @@ class TestAdam:
             v_hat = v / (1.0 - b2 ** t)
             data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
             assert np.array_equal(p.data, data), t
-            assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v), t
+            assert np.array_equal(opt._m.reshape(3, 4), m), t
+            assert np.array_equal(opt._v.reshape(3, 4), v), t
 
     def test_missing_grad_names_parameter(self):
         p = Tensor([1.0], requires_grad=True)
@@ -307,11 +308,13 @@ class TestAdam:
     def test_blocks_step_every_parameter_by_the_formula(self, block, monkeypatch):
         # parameters of 12, 5 and 12 values cut across blocks of the flat vectors
         monkeypatch.setattr(ad, "BLOCK", block)
-        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 1e-2, ad.BETAS, ad.EPS
         rng = np.random.default_rng(7)
         params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
                   for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 3, 2)))}
-        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        opt = Adam(params, lr=lr)
+        # each parameter's moments sit at its offset in the flat vectors
+        offset = dict(zip(params, np.cumsum([0] + [p.data.size for p in params.values()])))
         ref = {name: [p.data.copy(), 0.0, 0.0] for name, p in params.items()}
         for t in range(1, 5):
             for name, p in params.items():
@@ -327,7 +330,9 @@ class TestAdam:
             for name, p in params.items():
                 data, m, v = ref[name]
                 assert np.array_equal(p.data, data), (t, name)
-                assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)
+                at = slice(offset[name], offset[name] + p.data.size)
+                assert np.array_equal(opt._m[at].reshape(p.shape), m)
+                assert np.array_equal(opt._v[at].reshape(p.shape), v)
 
     def test_owned_gradient_is_one_slice_that_each_backward_overwrites(self):
         x = Tensor([[1.0, 2.0]])

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def make_checkpoint(tmp_path, config=None, drop=()):
     for name in drop:
         del state[name]
     path = str(tmp_path / "model.mico")
-    save_checkpoint(path, cfg.to_dict() if config is None else config, state)
+    save_checkpoint(path, asdict(cfg) if config is None else config, state)
     return path
 
 
@@ -94,6 +95,17 @@ class TestExitCodes:
         assert main(["train", "--data", data_dir,
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
 
+    def test_bag_listed_twice_returns_data_error(self, tmp_path, capsys):
+        # read_dataset returns the bag twice; training must not drop a copy
+        data_dir = make_dataset(tmp_path)
+        with open(os.path.join(data_dir, "manifest.txt"), "a") as f:
+            f.write("bag0003.mbag\n")
+        capsys.readouterr()
+        assert main(["train", "--data", data_dir,
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: bag id 'bag0003' occurs more than once\n"
+        assert not (tmp_path / "out" / "fold0.mico").exists()
+
     def test_fold_without_an_optimizer_step_returns_config_error(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path, n_bags=12, d=4, m_range=[3, 6])
         out_dir = tmp_path / "out"
@@ -127,7 +139,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,shape,message", [
         ("z", (0, 2 ** 62), "impossible shape"),
         ("head.b", (2,), "appears twice"),
-    ], ids=["impossible-shape", "repeated-name"])
+        ("bogus.w", (2, 2), "checkpoint has parameter 'bogus.w', which the model lacks"),
+    ], ids=["impossible-shape", "repeated-name", "unknown-name"])
     def test_checkpoint_with_a_bad_parameter_record_returns_data_error(
             self, tmp_path, capsys, name, shape, message):
         # a CRC-valid checkpoint with one more parameter record appended
@@ -151,7 +164,7 @@ class TestExitCodes:
         # MicoConfig held ablate_kmeans_init until the model stopped reading it
         data_dir = make_dataset(tmp_path)
         capsys.readouterr()
-        cfg = dict(MicoConfig(d=6, anchors=4, layers=2, task="subtype").to_dict(),
+        cfg = dict(asdict(MicoConfig(d=6, anchors=4, layers=2, task="subtype")),
                    ablate_kmeans_init=True)
         assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path, config=cfg),
                      "--data", data_dir]) == EXIT_OK

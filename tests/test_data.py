@@ -182,6 +182,15 @@ class TestBagIo:
         with pytest.raises(DataError):
             write_bag(bag, str(tmp_path / "x.mbag"))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("coords", np.zeros((3, 3)), r"coords must be \(3, 2\), got \(3, 3\)"),
+        ("true_type_map", np.zeros(5), r"true_type_map must be \(3,\), got \(5,\)"),
+    ], ids=["coords", "type-map"])
+    def test_per_instance_array_of_another_shape_rejected(self, field, value, message):
+        # write_bag would store it, and read_bag would refuse the file
+        with pytest.raises(DataError, match=f"^bag 'x': {message}$"):
+            FeatureBag(bag_id="x", features=np.zeros((3, 4)), **{field: value})
+
     def test_dataset_round_trip(self, tmp_path):
         bags = generate(cfg(n_bags=5, seed=7))
         write_dataset(bags, str(tmp_path))

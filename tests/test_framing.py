@@ -7,6 +7,7 @@ Every single-bit flip and every truncation of a valid file must raise a
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def write_small_bag(path):
 def write_small_checkpoint(path):
     model = MicoModel(MicoConfig(d=2, anchors=2, layers=1, task="subtype"),
                       rng=np.random.default_rng(0))
-    save_checkpoint(str(path), model.config.to_dict(), model.state_arrays())
+    save_checkpoint(str(path), asdict(model.config), model.state_arrays())
 
 
 FORMATS = {
@@ -165,7 +166,7 @@ def test_streamed_writes_have_the_bytes_of_a_joined_body(tmp_path):
     built it with ``tobytes`` and ``b"".join``."""
     model = MicoModel(MicoConfig(d=5, anchors=4, layers=2, task="survival"),
                       rng=np.random.default_rng(4))
-    config = dict(model.config.to_dict(), fold=1, bin_edges=[0.5, 2.5, 4.0])
+    config = dict(asdict(model.config), fold=1, bin_edges=[0.5, 2.5, 4.0])
     params = {name: p.data for name, p in model.params.items()}
     path = tmp_path / "m.mico"
     save_checkpoint(str(path), config, params)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -724,7 +725,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_model()
         path = tmp_path / "m.mico"
-        cfg = model.config.to_dict()
+        cfg = asdict(model.config)
         save_checkpoint(str(path), cfg, model.state_arrays())
         cfg2, state = load_checkpoint(str(path))
         assert cfg2 == cfg
@@ -759,7 +760,7 @@ class TestCheckpoint:
     def test_truncation_detected(self, tmp_path):
         model = small_model()
         p = tmp_path / "t.mico"
-        save_checkpoint(str(p), model.config.to_dict(), model.state_arrays())
+        save_checkpoint(str(p), asdict(model.config), model.state_arrays())
         p.write_bytes(p.read_bytes()[:50])
         with pytest.raises((ChecksumError, HeaderError)):
             load_checkpoint(str(p))
@@ -767,7 +768,7 @@ class TestCheckpoint:
     def test_bit_flip_detected(self, tmp_path):
         model = small_model()
         p = tmp_path / "c.mico"
-        save_checkpoint(str(p), model.config.to_dict(), model.state_arrays())
+        save_checkpoint(str(p), asdict(model.config), model.state_arrays())
         raw = bytearray(p.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         p.write_bytes(bytes(raw))

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,15 +62,18 @@ class TestEarlyStopper:
             s.update(0.5, e)  # ties are not improvements
         assert s.should_stop
 
-    def test_never_improving_run_stops_at_patience_plus_one(self):
+    def test_never_improving_run_stops_at_patience_plus_one(self, monkeypatch):
         calls = []
 
-        def scripted_val(model, val_bags, epoch):
+        def scripted_val(metrics, task):
+            # called once per epoch, with that epoch's validation metrics
+            epoch = len(calls) + 1
             calls.append(epoch)
             return 1.0 if epoch == 1 else 0.0
 
+        monkeypatch.setattr(train_mod, "_val_score", scripted_val)
         cfg = tiny_config(epochs=50, early_stop_patience=8, n_folds=1)
-        report = train(cfg, small_bags(), val_metric_fn=scripted_val)
+        report = train(cfg, small_bags())
         fold = report.folds[0]
         assert fold.epochs_run == 9
         assert fold.best_epoch == 1
@@ -94,7 +98,7 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         a = train(tiny_config(), small_bags())
         b = train(tiny_config(), small_bags())
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
+        assert replace(a, wall_clock_s=0.0).to_json() == replace(b, wall_clock_s=0.0).to_json()
 
     def test_three_classes_early_stop_on_macro_auc(self):
         # three classes by tertile of the tumor fraction; with no AUC, every
@@ -168,32 +172,35 @@ class TestTrain:
         assert packs == [5, 5, 2, 3, 5, 4, 1, 5, 5, 1]
         assert steps == [1, 2, 4, 5, 7, 8, 9]
 
-    def test_diverging_pack_names_its_bag(self):
+    def test_diverging_pack_names_its_bag(self, monkeypatch):
         # one pack per epoch; the bag blown up after epoch 1 is tenth in
         # epoch 2's pack, and the error names it, not the pack's first bag
         bags = small_bags()
         train_bags = bags[:12]
 
-        def blow_up(model, val_bags, epoch):
+        def blow_up(model, val_bags):
             train_bags[5].features = train_bags[5].features * 1e307
-            return 0.5
+            return evaluate_model(model, val_bags)
 
+        monkeypatch.setattr(train_mod, "evaluate_model", blow_up)
         with pytest.raises(NumericalError, match=r"^fold 0: .+ on bag 'bag0005' at epoch 2$"):
             train_fold(tiny_config(grad_accum=12), 0, train_bags, bags[12:18], bags[18:],
-                       np.random.SeedSequence(0), val_metric_fn=blow_up)
+                       np.random.SeedSequence(0))
 
-    def test_diverging_run_names_a_non_finite_parameter(self):
+    def test_diverging_run_names_a_non_finite_parameter(self, monkeypatch):
         bags = small_bags()
 
-        def poison(model, val_bags, epoch):
+        def poison(model, val_bags):
+            metrics = evaluate_model(model, val_bags)
             model.params["head.w"].data[0, 0] = np.nan
-            return 0.5
+            return metrics
 
+        monkeypatch.setattr(train_mod, "evaluate_model", poison)
         with pytest.raises(NumericalError, match=r"^fold 0: NaN/Inf loss on bag 'bag\d+' "
                                                  r"at epoch 2; parameter 'head.w' holds a "
                                                  r"non-finite value$"):
             train_fold(tiny_config(grad_accum=3), 0, bags[:12], bags[12:18], bags[18:],
-                       np.random.SeedSequence(0), val_metric_fn=poison)
+                       np.random.SeedSequence(0))
 
     def test_task_label_mismatch_rejected(self):
         with pytest.raises(ConfigError):

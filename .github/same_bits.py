@@ -19,7 +19,7 @@ from pathlib import Path
 
 from mico.data import SynthConfig, generate, read_dataset, write_dataset
 from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
-                        end_to_end_gradcheck, evaluate_model, train)
+                        end_to_end_gradcheck, evaluate_model, sweep_anchors, train)
 
 out = Path(sys.argv[1])
 out.mkdir(parents=True)
@@ -42,6 +42,8 @@ for task in TASKS:
     run(f"small-{task}", bags, task=task, **small)
     if task == "subtype":
         ablate(TrainConfig(task=task, **small), bags, out_dir=str(out / "small-ablate"))
+        sweep_anchors(TrainConfig(task=task, **small), bags, counts=(4, 8),
+                      out_dir=str(out / "small-sweep"))
 # d=256 and M of 400-600, where row blocks split and BLAS threads
 bags = data("blocks", n_bags=8, d=256, seed=3, task="subtype", m_range=(400, 600))
 for pooling in ("gated_attention", "anchor_mean"):

@@ -59,11 +59,9 @@ def _train_config(args, **fixed) -> TrainConfig:
     if "seed" not in values:
         raise ConfigError("--seed is required")
     try:
-        cfg = TrainConfig(**values)
+        return TrainConfig(**values)
     except TypeError as exc:
         raise ConfigError(f"bad training config: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 def _add_train_flags(p: argparse.ArgumentParser, varied: tuple[str, ...] = ()) -> None:

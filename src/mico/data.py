@@ -79,7 +79,7 @@ class SynthConfig:
     dispersion: int = 3
     censoring_rate: float = 0.3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -110,7 +110,6 @@ def generate(config: SynthConfig) -> list[FeatureBag]:
     """Generate bags around prototype vectors on a sphere of radius
     ``prototype_separation``; tumor instances are scattered across
     ``dispersion`` spatially disjoint blobs."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     T, d = config.n_prototypes, config.d
 

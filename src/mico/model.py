@@ -91,9 +91,6 @@ class MicoConfig(ModelFields):
     def __post_init__(self):
         if self.mlp_hidden is None:
             self.mlp_hidden = self.d
-        self.validate()
-
-    def validate(self) -> None:
         check_field_types(self)
         if self.d < 1:
             raise ConfigError(f"feature dim must be >= 1, got {self.d}")
@@ -481,7 +478,6 @@ class MicoModel:
 
     def __init__(self, config: MicoConfig, rng: np.random.Generator,
                  anchor_init: np.ndarray | None = None):
-        config.validate()
         self.config = config
         d, h = config.d, config.mlp_hidden
         self.params: dict[str, Tensor] = {}

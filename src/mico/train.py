@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kmeans
-from .autodiff import Adam, Tensor, zero_grad
+from .autodiff import Adam, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import FeatureBag, make_folds
 from .errors import ConfigError, DataError, HeaderError, NumericalError, UndefinedMetricError
@@ -50,7 +50,7 @@ class TrainConfig(ModelFields):
     n_folds: int = 4
     kmeans_pool_cap: int = 50000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -133,13 +133,20 @@ def _check_feature_dim(bags: list[FeatureBag], d: int, source: str) -> None:
                 f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, but {source} has dim {d}")
 
 
-def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int) -> None:
+def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int,
+                       source: str | None = None) -> None:
+    """Raise on the first bag whose label ``task`` cannot score. A label of
+    the other task is a ConfigError, the run's configured task being wrong,
+    or, given the ``source`` of the task (a checkpoint), a DataError naming
+    it: the bags do not fit that file. A class out of range is a DataError."""
     want = SurvivalLabel if task == "survival" else SubtypeLabel
     for bag in bags:
         if not isinstance(bag.label, want):
-            raise ConfigError(
-                f"task {task!r} but bag {bag.bag_id!r} carries a "
-                f"{type(bag.label).__name__}")
+            kind = type(bag.label).__name__
+            if source is not None:
+                raise DataError(
+                    f"bag {bag.bag_id!r} carries a {kind}, but {source} has task {task!r}")
+            raise ConfigError(f"task {task!r} but bag {bag.bag_id!r} carries a {kind}")
         if want is SubtypeLabel and bag.label.class_index >= n_classes:
             raise DataError(
                 f"bag {bag.bag_id!r} has class {bag.label.class_index}, "
@@ -310,7 +317,6 @@ def train_fold(config: TrainConfig, fold_index: int,
             f"{len(train_bags)} training bags: a grad_accum group of "
             f"{config.grad_accum} was never filled")
     model.load_state_arrays(best_state)
-    zero_grad(model.params.values())
     metrics = evaluate_model(model, test_bags)
 
     result = FoldResult(
@@ -321,10 +327,9 @@ def train_fold(config: TrainConfig, fold_index: int,
     return result, model, edges
 
 
-def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = None) -> RunReport:
-    """Full cross-validated run; optionally writes per-fold checkpoints and
-    the report to ``out_dir``."""
-    config.validate()
+def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str) -> RunReport:
+    """Full cross-validated run; writes per-fold checkpoints and the report
+    to ``out_dir``."""
     _check_task_labels(bags, config.task, config.subtype_classes)
     start = time.monotonic()
 
@@ -335,8 +340,7 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
     root_ss = np.random.SeedSequence(config.seed)
     fold_seeds = root_ss.spawn(config.n_folds)
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     results: list[FoldResult] = []
     for i, (train_ids, val_ids, test_ids) in enumerate(folds):
         result, model, edges = train_fold(
@@ -344,14 +348,13 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
             [by_id[b] for b in train_ids], [by_id[b] for b in val_ids],
             [by_id[b] for b in test_ids], fold_seeds[i])
         results.append(result)
-        if out_dir is not None:
-            meta = asdict(model.config)
-            meta["fold"] = i
-            meta["best_epoch"] = result.best_epoch
-            if edges is not None:
-                meta["bin_edges"] = [float(e) for e in edges]
-            save_checkpoint(os.path.join(out_dir, f"fold{i}.mico"), meta,
-                            {name: p.data for name, p in model.params.items()})
+        meta = asdict(model.config)
+        meta["fold"] = i
+        meta["best_epoch"] = result.best_epoch
+        if edges is not None:
+            meta["bin_edges"] = [float(e) for e in edges]
+        save_checkpoint(os.path.join(out_dir, f"fold{i}.mico"), meta,
+                        {name: p.data for name, p in model.params.items()})
 
     names = _metric_names(config.task)
     mean = {m: float(np.mean([r.metrics[m] for r in results])) for m in names}
@@ -362,9 +365,8 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str | None = Non
         config=asdict(config), folds=results, mean=mean, std=std,
         notes=[OPTIMIZER_NOTE, KMEANS_NOTE],
         wall_clock_s=time.monotonic() - start)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "report.json"), "w") as f:
-            f.write(report.to_json())
+    with open(os.path.join(out_dir, "report.json"), "w") as f:
+        f.write(report.to_json())
     return report
 
 
@@ -380,6 +382,7 @@ def _model_from_checkpoint(path: str, bags: list[FeatureBag]) -> MicoModel:
     except (TypeError, ConfigError) as exc:
         raise HeaderError(f"{path}: malformed checkpoint: {exc}") from exc
     _check_feature_dim(bags, model.config.d, "checkpoint")
+    _check_task_labels(bags, model.config.task, model.config.subtype_classes, "checkpoint")
     return model
 
 
@@ -401,46 +404,38 @@ ABLATIONS = [
 ]
 
 
-def ablate(config: TrainConfig, bags: list[FeatureBag],
-           out_dir: str | None = None) -> dict[str, RunReport]:
+def ablate(config: TrainConfig, bags: list[FeatureBag], out_dir: str) -> dict[str, RunReport]:
     """Run the full protocol under each ablation with identical seeds/folds."""
     reports = {}
     for name, overrides in ABLATIONS:
-        sub_dir = None
-        if out_dir is not None:
-            sub_dir = os.path.join(out_dir, name.replace("/", "_").replace(" ", "_"))
+        sub_dir = os.path.join(out_dir, name.replace("/", "_").replace(" ", "_"))
         reports[name] = train(replace(config, **overrides), bags, out_dir=sub_dir)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "ablation_table.txt"), "w") as f:
-            f.write(comparison_table(reports, config.task))
+    with open(os.path.join(out_dir, "ablation_table.txt"), "w") as f:
+        f.write(comparison_table(reports, config.task))
     return reports
 
 
 def sweep_anchors(config: TrainConfig, bags: list[FeatureBag],
-                  counts, out_dir: str | None = None) -> dict[int, RunReport]:
+                  counts, out_dir: str) -> dict[int, RunReport]:
     """One full run per anchor count over shared folds and seeds."""
+    # each copy validates itself, so a bad count fails before any run
     configs = {c: replace(config, anchor_count=c) for c in counts}
     if not configs or len(configs) != len(counts):
         raise ConfigError(f"anchor counts must be distinct and at least one, got {list(counts)}")
-    for cfg in configs.values():
-        cfg.validate()
-    reports = {}
-    for c, cfg in configs.items():
-        sub_dir = os.path.join(out_dir, f"anchors{c}") if out_dir is not None else None
-        reports[c] = train(cfg, bags, out_dir=sub_dir)
-    if out_dir is not None:
-        labeled = {f"{c} anchors": r for c, r in reports.items()}
-        with open(os.path.join(out_dir, "sweep_table.txt"), "w") as f:
-            f.write(comparison_table(labeled, config.task))
-        with open(os.path.join(out_dir, "sweep_data.csv"), "w") as f:
-            names = _metric_names(config.task)
-            f.write("anchors," + ",".join(
-                f"{m}_mean,{m}_std" for m in names) + "\n")
-            for c, r in reports.items():
-                cells = [str(c)]
-                for m in names:
-                    cells += [f"{r.mean[m]:.6f}", f"{r.std[m]:.6f}"]
-                f.write(",".join(cells) + "\n")
+    reports = {c: train(cfg, bags, out_dir=os.path.join(out_dir, f"anchors{c}"))
+               for c, cfg in configs.items()}
+    labeled = {f"{c} anchors": r for c, r in reports.items()}
+    with open(os.path.join(out_dir, "sweep_table.txt"), "w") as f:
+        f.write(comparison_table(labeled, config.task))
+    with open(os.path.join(out_dir, "sweep_data.csv"), "w") as f:
+        names = _metric_names(config.task)
+        f.write("anchors," + ",".join(
+            f"{m}_mean,{m}_std" for m in names) + "\n")
+        for c, r in reports.items():
+            cells = [str(c)]
+            for m in names:
+                cells += [f"{r.mean[m]:.6f}", f"{r.std[m]:.6f}"]
+            f.write(",".join(cells) + "\n")
     return reports
 
 
@@ -501,14 +496,13 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
-def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
-                         anchors: int = 4, layers: int = 2,
-                         seed: int = 0, pack: int = 1) -> dict[str, float]:
+def end_to_end_gradcheck(task: str, seed: int = 0, pack: int = 1) -> dict[str, float]:
     """Compare tape gradients of the full loss against central finite
-    differences for every parameter group.
+    differences for every parameter group, on a model of d=8 features,
+    4 anchors and 2 layers.
 
     With ``pack`` > 1 the loss is the summed loss of a pack of that many bags
-    (m_instances, then half as many for each next bag, at least 1), so the
+    (12 instances, then half as many for each next bag, at least 1), so the
     check runs through the segment ops.
 
     Runs with the smooth (row-softmax) relaxation of the hard assignment:
@@ -517,13 +511,13 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
     while everything differentiable is checked here.
     """
     rng = np.random.default_rng(seed)
-    cfg = MicoConfig(d=d, anchors=anchors, layers=layers, task=task,
-                     survival_bins=4, subtype_classes=2)
+    d = 8
+    cfg = MicoConfig(d=d, anchors=4, layers=2, task=task, survival_bins=4, subtype_classes=2)
     model = MicoModel(cfg, rng=rng)
     bags = []
     edges = np.array([1.0, 2.0, 3.0])   # bag i's time falls in bin (1 + i) % 4
     for i in range(pack):
-        features = rng.standard_normal((max(1, m_instances >> i), d))
+        features = rng.standard_normal((max(1, 12 >> i), d))
         label = (SurvivalLabel(time=(1 + i) % 4 + 0.5, event=i % 2 == 0)
                  if task == "survival" else SubtypeLabel(class_index=(1 + i) % 2))
         bags.append(FeatureBag(bag_id=f"gradcheck{i}", features=features, label=label))
@@ -531,7 +525,6 @@ def end_to_end_gradcheck(task: str, m_instances: int = 12, d: int = 8,
     def loss_value() -> float:
         return float(_pack_loss(model, bags, edges, assign_mode="soft")[0].data)
 
-    zero_grad(model.params.values())
     ad.backward(_pack_loss(model, bags, edges, assign_mode="soft")[0])
 
     # no ablation and gated-attention pooling: every parameter has a gradient

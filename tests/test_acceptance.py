@@ -58,8 +58,7 @@ def test_01_gradient_suite():
     start = time.monotonic()
     worst = 0.0
     for task in ("survival", "subtype"):
-        errors = end_to_end_gradcheck(task, m_instances=12, d=8,
-                                      anchors=4, layers=2, seed=0)
+        errors = end_to_end_gradcheck(task, seed=0)
         worst = max(worst, max(errors.values()))
     elapsed = time.monotonic() - start
     _report(1, "gradient suite", worst < 1e-4 and elapsed < 30.0,
@@ -185,18 +184,18 @@ def test_06_metric_oracles():
     _report(6, "metric oracles", ok and worst < 1e-12, f"auc dev {worst:.1e}")
 
 
-def test_07_subtype_learnability():
+def test_07_subtype_learnability(tmp_path):
     start = time.monotonic()
-    report = train(_train_config("subtype"), _dataset("subtype"))
+    report = train(_train_config("subtype"), _dataset("subtype"), out_dir=str(tmp_path))
     elapsed = time.monotonic() - start
     _report(7, "subtype learnability",
             report.mean["auc"] >= 0.95 and elapsed < 600.0,
             f"mean AUC {report.mean['auc']:.3f}, {elapsed:.0f}s")
 
 
-def test_08_survival_learnability():
+def test_08_survival_learnability(tmp_path):
     start = time.monotonic()
-    report = train(_train_config("survival"), _dataset("survival"))
+    report = train(_train_config("survival"), _dataset("survival"), out_dir=str(tmp_path))
     elapsed = time.monotonic() - start
     _report(8, "survival learnability",
             report.mean["c_index"] >= 0.70 and elapsed < 600.0,
@@ -288,12 +287,12 @@ def test_11_serialization(tmp_path):
     _report(11, "serialization", bag_ok and ckpt_ok and detected == 6)
 
 
-def test_12_determinism():
+def test_12_determinism(tmp_path):
     cfg = TrainConfig(seed=3, task="subtype", epochs=2, anchor_count=4, layers=2)
     bags_a = generate(SynthConfig(n_bags=24, d=6, seed=0, task="subtype",
                                   m_range=(5, 10), n_prototypes=3))
     bags_b = generate(SynthConfig(n_bags=24, d=6, seed=0, task="subtype",
                                   m_range=(5, 10), n_prototypes=3))
-    a = replace(train(cfg, bags_a), wall_clock_s=0.0).to_json()
-    b = replace(train(cfg, bags_b), wall_clock_s=0.0).to_json()
+    a = replace(train(cfg, bags_a, out_dir=str(tmp_path / "a")), wall_clock_s=0.0).to_json()
+    b = replace(train(cfg, bags_b, out_dir=str(tmp_path / "b")), wall_clock_s=0.0).to_json()
     _report(12, "determinism", a == b)

@@ -192,6 +192,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
         assert "class 2" in capsys.readouterr().err
 
+    def test_task_mismatch_in_evaluate_returns_data_error(self, tmp_path, capsys):
+        # a subtype checkpoint scored on survival bags: the files do not fit,
+        # where a train --task mismatch is the user's config
+        data_dir = make_dataset(tmp_path, task="survival")
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path),
+                     "--data", data_dir]) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: bag 'bag0000' carries a SurvivalLabel, "
+                                           "but checkpoint has task 'subtype'\n")
+
     def test_class_out_of_range_in_evaluate_returns_data_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         relabel_bag(data_dir, "bag0005.mbag", 2)

@@ -105,6 +105,13 @@ class TestGenerate:
                 found_multi = True
         assert found_multi
 
+    @pytest.mark.parametrize("field", [{"n_prototypes": 1}, {"noise_std": -1.0},
+                                       {"m_range": (5, 2)}, {"task": "grading"}],
+                             ids=["n_prototypes", "noise_std", "m_range", "task"])
+    def test_bad_config_rejected_when_built(self, field):
+        with pytest.raises(ConfigError):
+            cfg(**field)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             generate(cfg(n_prototypes=1))

@@ -256,7 +256,7 @@ def test_backward_frees_intermediates_while_loss_lives(task, mode):
 
 @pytest.mark.parametrize("grad_accum", [1, 2])
 @pytest.mark.parametrize("task", ["survival", "subtype"])
-def test_a_training_pack_records_at_most_12_nodes(task, grad_accum, monkeypatch):
+def test_a_training_pack_records_at_most_12_nodes(task, grad_accum, monkeypatch, tmp_path):
     # acceptance size: one node per layer op, the head and the loss, however
     # many bags the pack holds
     nodes, packs = [], []
@@ -275,7 +275,7 @@ def test_a_training_pack_records_at_most_12_nodes(task, grad_accum, monkeypatch)
     monkeypatch.setattr(MicoModel, "forward", recording_forward)
     bags = generate(SynthConfig(n_bags=12, d=32, seed=0, task=task, m_range=(25, 50)))
     train(TrainConfig(seed=0, task=task, epochs=2, anchor_count=16, layers=2,
-                      grad_accum=grad_accum, n_folds=1), bags)
+                      grad_accum=grad_accum, n_folds=1), bags, out_dir=str(tmp_path))
     assert grad_accum in packs and len(nodes) == len(packs)
     assert max(nodes) <= 12 and len(set(nodes)) == 1, nodes
 

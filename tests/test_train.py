@@ -47,6 +47,20 @@ def tiny_config(task="subtype", **kw):
     return TrainConfig(**base)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", [{"lr": 0.0}, {"seed": -1}, {"grad_accum": 0},
+                                       {"n_folds": 0}, {"pooling": "max"}, {"epochs": 1.5}],
+                             ids=["lr", "seed", "grad_accum", "n_folds", "pooling", "epochs"])
+    def test_bad_field_rejected_when_built(self, field):
+        with pytest.raises(ConfigError):
+            tiny_config(**field)
+
+    def test_replaced_copy_is_validated(self):
+        # ablate and sweep_anchors run replace() copies; 6 anchors do not halve twice
+        with pytest.raises(ConfigError, match="anchor count 6"):
+            replace(tiny_config(layers=2), anchor_count=6)
+
+
 class TestEarlyStopper:
     def test_improvement_resets_streak(self):
         s = EarlyStopper(patience=2)
@@ -62,7 +76,7 @@ class TestEarlyStopper:
             s.update(0.5, e)  # ties are not improvements
         assert s.should_stop
 
-    def test_never_improving_run_stops_at_patience_plus_one(self, monkeypatch):
+    def test_never_improving_run_stops_at_patience_plus_one(self, monkeypatch, tmp_path):
         calls = []
 
         def scripted_val(metrics, task):
@@ -73,7 +87,7 @@ class TestEarlyStopper:
 
         monkeypatch.setattr(train_mod, "_val_score", scripted_val)
         cfg = tiny_config(epochs=50, early_stop_patience=8, n_folds=1)
-        report = train(cfg, small_bags())
+        report = train(cfg, small_bags(), out_dir=str(tmp_path))
         fold = report.folds[0]
         assert fold.epochs_run == 9
         assert fold.best_epoch == 1
@@ -81,8 +95,8 @@ class TestEarlyStopper:
 
 
 class TestTrain:
-    def test_report_shape_and_metrics(self):
-        report = train(tiny_config(), small_bags())
+    def test_report_shape_and_metrics(self, tmp_path):
+        report = train(tiny_config(), small_bags(), out_dir=str(tmp_path))
         assert len(report.folds) == 4
         for fold in report.folds:
             assert set(fold.metrics) == {"acc", "f1", "auc"}
@@ -90,17 +104,18 @@ class TestTrain:
         assert set(report.mean) == {"acc", "f1", "auc"}
         assert any("Adam" in note for note in report.notes)
 
-    def test_survival_task_reports_c_index(self):
-        report = train(tiny_config(task="survival"), small_bags(task="survival"))
+    def test_survival_task_reports_c_index(self, tmp_path):
+        report = train(tiny_config(task="survival"), small_bags(task="survival"),
+                       out_dir=str(tmp_path))
         for fold in report.folds:
             assert 0.0 <= fold.metrics["c_index"] <= 1.0
 
-    def test_deterministic_given_seed(self):
-        a = train(tiny_config(), small_bags())
-        b = train(tiny_config(), small_bags())
+    def test_deterministic_given_seed(self, tmp_path):
+        a = train(tiny_config(), small_bags(), out_dir=str(tmp_path / "a"))
+        b = train(tiny_config(), small_bags(), out_dir=str(tmp_path / "b"))
         assert replace(a, wall_clock_s=0.0).to_json() == replace(b, wall_clock_s=0.0).to_json()
 
-    def test_three_classes_early_stop_on_macro_auc(self):
+    def test_three_classes_early_stop_on_macro_auc(self, tmp_path):
         # three classes by tertile of the tumor fraction; with no AUC, every
         # validation score would be the 0.5 stand-in and epoch 1 would win
         bags = small_bags(n=72)
@@ -108,7 +123,8 @@ class TestTrain:
         cuts = np.quantile(rho, [1 / 3, 2 / 3])
         for bag, r in zip(bags, rho):
             bag.label = SubtypeLabel(class_index=int(np.searchsorted(cuts, r, side="right")))
-        report = train(tiny_config(epochs=6, lr=2e-3, subtype_classes=3, n_folds=2), bags)
+        report = train(tiny_config(epochs=6, lr=2e-3, subtype_classes=3, n_folds=2), bags,
+                       out_dir=str(tmp_path))
         for fold in report.folds:
             assert fold.best_epoch > 1 and len(set(fold.val_metric_curve)) > 1
         assert report.mean["auc"] > 0.9
@@ -126,9 +142,9 @@ class TestTrain:
                 f"a grad_accum group of {grad_accum} was never filled")):
             train_fold(config, 0, bags[:7], bags[7:9], bags[9:], np.random.SeedSequence(0))
 
-    def test_training_reduces_loss(self):
+    def test_training_reduces_loss(self, tmp_path):
         cfg = tiny_config(epochs=15, lr=5e-3, n_folds=1)
-        report = train(cfg, small_bags(n=32))
+        report = train(cfg, small_bags(n=32), out_dir=str(tmp_path))
         curve = report.folds[0].train_loss_curve
         assert curve[-1] < curve[0]
 
@@ -202,17 +218,18 @@ class TestTrain:
             train_fold(tiny_config(grad_accum=3), 0, bags[:12], bags[12:18], bags[18:],
                        np.random.SeedSequence(0))
 
-    def test_task_label_mismatch_rejected(self):
+    def test_task_label_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            train(tiny_config(task="survival"), small_bags(task="subtype"))
+            train(tiny_config(task="survival"), small_bags(task="subtype"),
+                  out_dir=str(tmp_path))
 
-    def test_mixed_feature_dims_rejected_before_fold_0(self, monkeypatch):
+    def test_mixed_feature_dims_rejected_before_fold_0(self, monkeypatch, tmp_path):
         bags = small_bags(n=16)
         bags[9].features = bags[9].features[:, :4]
         monkeypatch.setattr(train_mod, "train_fold", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(DataError, match=r"^bag 'bag0009' has dim 4, but the first "
                                             r"bag 'bag0000' has dim 6$"):
-            train(tiny_config(), bags)
+            train(tiny_config(), bags, out_dir=str(tmp_path))
 
     def test_train_and_evaluate_leave_the_bags_unchanged(self, tmp_path):
         bags = small_bags(task="survival")
@@ -247,9 +264,11 @@ class TestArtifacts:
             assert got[m] == pytest.approx(v, abs=1e-12)
 
     def test_evaluate_checkpoint_task_mismatch(self, tmp_path):
+        # the checkpoint and the bags do not fit: a data error, not a config one
         out = str(tmp_path / "run")
         train(tiny_config(n_folds=1), small_bags(), out_dir=out)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match=r"^bag 'bag0000' carries a SurvivalLabel, "
+                                            r"but checkpoint has task 'subtype'$"):
             evaluate_checkpoint(os.path.join(out, "fold0.mico"),
                                 small_bags(task="survival"))
 
@@ -299,10 +318,10 @@ class TestAblateAndSweep:
         assert reports["full"].folds[0].anchor_init == "kmeans"
         assert os.path.exists(os.path.join(out, "ablation_table.txt"))
 
-    def test_each_row_sets_every_ablation_field(self):
+    def test_each_row_sets_every_ablation_field(self, tmp_path):
         # the caller's ablation flags do not leak into the rows
         reports = ablate(tiny_config(n_folds=1, epochs=1, ablate_route=True,
-                                     ablate_reducer=True), small_bags())
+                                     ablate_reducer=True), small_bags(), out_dir=str(tmp_path))
         flags = {name: tuple(r.config[f] for f in
                              ("ablate_kmeans_init", "ablate_reducer", "ablate_route"))
                  for name, r in reports.items()}
@@ -322,17 +341,19 @@ class TestAblateAndSweep:
         assert len(rows) == 3
 
     @pytest.mark.parametrize("counts", [(), (4, 8, 4)])
-    def test_sweep_rejects_empty_or_repeated_counts(self, counts, monkeypatch):
+    def test_sweep_rejects_empty_or_repeated_counts(self, counts, monkeypatch, tmp_path):
         monkeypatch.setattr(train_mod, "train", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(ConfigError, match="distinct"):
-            sweep_anchors(tiny_config(layers=2), small_bags(), counts=counts)
+            sweep_anchors(tiny_config(layers=2), small_bags(), counts=counts,
+                          out_dir=str(tmp_path))
 
-    def test_sweep_rejects_indivisible_count(self):
+    def test_sweep_rejects_indivisible_count(self, tmp_path):
         with pytest.raises(ConfigError):
-            sweep_anchors(tiny_config(layers=2), small_bags(), counts=(6,))
+            sweep_anchors(tiny_config(layers=2), small_bags(), counts=(6,),
+                          out_dir=str(tmp_path))
 
-    def test_comparison_table_lists_all_methods(self):
-        reports = ablate(tiny_config(n_folds=2, epochs=1), small_bags())
+    def test_comparison_table_lists_all_methods(self, tmp_path):
+        reports = ablate(tiny_config(n_folds=2, epochs=1), small_bags(), out_dir=str(tmp_path))
         table = comparison_table(reports, "subtype")
         for name in reports:
             assert name in table

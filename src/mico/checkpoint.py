@@ -53,5 +53,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         if name in params:
             raise HeaderError(f"{path}: parameter {name!r} appears twice")
         params[name] = r.array("<f8", shape, f"payload of {name!r}")
+        # a NaN in the head would score as a silent 0, and one in the layers
+        # fail deep in the forward as a numerical error
+        if not np.isfinite(params[name]).all():
+            raise HeaderError(f"{path}: parameter {name!r} holds a non-finite value")
     r.done()
     return config, params

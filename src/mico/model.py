@@ -333,10 +333,12 @@ def _sigmoid_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #   cluster_reduce        MLP pre-activation P       gelu(P); its slope
 #   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product
 #
-# Only route_update repeats a matmul, a K-wide one, against the two d-wide
-# matmuls of its MLP that it keeps P to avoid. The slopes exist one row
-# block at a time: each elementwise chain (gelu, its slope, sigmoid, the two
-# gate slopes) is a blocked pass over the rows from ``ad.blocks``.
+# gated_attention_pool's backward lets its activations go once both gate
+# gradients exist, before it builds the instance gradient. Only route_update
+# repeats a matmul, a K-wide one, against the two d-wide matmuls of its MLP
+# that it keeps P to avoid. The slopes exist one row block at a time: each
+# elementwise chain (gelu, its slope, sigmoid, the two gate slopes) is a
+# blocked pass over the rows from ``ad.blocks``.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, make_X)`` takes
@@ -367,10 +369,15 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  seg: ad.Segments) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    Y, mlp_bw = _gelu_mlp(H.data + seg.matmul(A_hat.data, S_agg.data), w1, b1, w2, b2)
+    def make_X():
+        X = seg.matmul(A_hat.data, S_agg.data)
+        X += H.data   # the bits of ``H.data + X``, in the matmul's output
+        return X
+
+    Y, mlp_bw = _gelu_mlp(make_X(), w1, b1, w2, b2)
 
     def bw(g):
-        gX = mlp_bw(g, lambda: H.data + seg.matmul(A_hat.data, S_agg.data))
+        gX = mlp_bw(g, make_X)
         _accum(A_hat, seg.matmul(gX, S_agg.data, trans_y=True))
         _accum(S_agg, seg.outer(A_hat.data, gX))
         if H.requires_grad:
@@ -423,8 +430,10 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
     attn = e / seg.spread(seg.sum(e))
 
     def bw(g):
-        # in place, so that at most four (N, h) or (N, d) temporaries live at
-        # once; ``x *= y`` has the bits of ``y * x``
+        # in place, so that at most two (N, h) temporaries live beside the
+        # full tape, and gH only once a and b are gone; ``x *= y`` has the
+        # bits of ``y * x``
+        nonlocal a, b
         g_attn = seg.spread(g)
         g_attn *= H.data
         g_attn = attn * g_attn.sum(axis=1)
@@ -433,17 +442,22 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
         _accum(w, gate.T @ g_scores[:, None])
         g_gate = np.multiply(g_scores[:, None], w.data.T, out=gate)
         gPV = _tanh_grad(g_gate, a, b)
-        if H.requires_grad:   # not the bag features themselves (w/o route)
-            gH = seg.spread(g)
-            gH *= attn[:, None]
-            gH += gPV @ V.data.T
-        _accum(V, H.data.T @ gPV)
-        del gPV
         gPU = _sigmoid_grad(g_gate, a, b)
-        if H.requires_grad:
+        a = b = None   # read for the last time: the tape lets them go
+        _accum(V, H.data.T @ gPV)
+        _accum(U, H.data.T @ gPU)
+        if H.requires_grad:   # not the bag features themselves (w/o route)
+            gH = gPV @ V.data.T
+            del gPV
+            # attn * spread(g), one row block at a time: ``(s + p) + q`` has
+            # the bits of ``(p + s) + q``
+            bag = seg.spread(np.arange(seg.count))
+            for rows, _ in ad.blocks(gH.shape):
+                s = g[bag[rows]]
+                s *= attn[rows, None]
+                gH[rows] += s
             gH += gPU @ U.data.T
             _accum(H, gH)
-        _accum(U, H.data.T @ gPU)
 
     pooled = _make(seg.sum(attn[:, None] * H.data), (H, V, U, w), "gated_attention_pool", bw)
     return pooled, attn

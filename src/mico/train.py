@@ -251,7 +251,13 @@ def train_fold(config: TrainConfig, fold_index: int,
                test_bags: list[FeatureBag], fold_seed: np.random.SeedSequence
                ) -> tuple[FoldResult, MicoModel, np.ndarray | None]:
     """Train one fold; returns the result, the best-state model and the
-    survival bin edges (None for subtype)."""
+    survival bin edges (None for subtype).
+
+    The parameters are copied after each improving epoch but the last, and
+    the copy is loaded back once the epochs after it ran without improving.
+    Every validation score is finite (a ratio of pair counts, or the 0.5
+    stand-in), so epoch 1 always improves and the initial parameters are
+    never the best state."""
     d = train_bags[0].features.shape[1]
     seeds = fold_seed.generate_state(3)
     init_rng = np.random.default_rng(int(seeds[0]))
@@ -266,7 +272,7 @@ def train_fold(config: TrainConfig, fold_index: int,
     opt = Adam(model.trainable_params(), lr=config.lr)
 
     stopper = EarlyStopper(config.early_stop_patience)
-    best_state = model.state_arrays()
+    best_state = None
     loss_curve: list[float] = []
     val_curve: list[float] = []
     pending = 0
@@ -306,7 +312,10 @@ def train_fold(config: TrainConfig, fold_index: int,
         val_curve.append(val_metric)
 
         if stopper.update(val_metric, epoch):
-            best_state = model.state_arrays()
+            # the old copy goes first, so that two never live at once
+            best_state = None
+            if epoch < config.epochs:
+                best_state = model.state_arrays()
         if stopper.should_stop:
             break
 
@@ -316,7 +325,8 @@ def train_fold(config: TrainConfig, fold_index: int,
             f"fold {fold_index}: no optimizer step in {epochs_run} epochs of "
             f"{len(train_bags)} training bags: a grad_accum group of "
             f"{config.grad_accum} was never filled")
-    model.load_state_arrays(best_state)
+    if best_state is not None:
+        model.load_state_arrays(best_state)
     metrics = evaluate_model(model, test_bags)
 
     result = FoldResult(

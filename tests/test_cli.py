@@ -160,6 +160,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-assignments"])
+    @pytest.mark.parametrize("name,value", [
+        ("head.w", np.nan), ("attn.w", np.inf), ("anchors", np.nan), ("route0.b1", -np.inf),
+    ])
+    def test_checkpoint_with_a_non_finite_parameter_returns_data_error(
+            self, tmp_path, capsys, command, name, value):
+        # the CRC holds; a NaN in the head or attention weights scored as
+        # "auc": 0.0 with exit 0, and one in the layers exited as numerical
+        data_dir = make_dataset(tmp_path)
+        cfg = MicoConfig(d=6, anchors=4, layers=2, task="subtype")
+        state = MicoModel(cfg, rng=np.random.default_rng(0)).state_arrays()
+        state[name].flat[-1] = value
+        ckpt = str(tmp_path / "model.mico")
+        save_checkpoint(ckpt, asdict(cfg), state)
+        args = (["--data", data_dir] if command == "evaluate" else
+                ["--bag", os.path.join(data_dir, "bag0001.mbag"), "--out", str(tmp_path / "a.txt")])
+        capsys.readouterr()
+        assert main([command, "--checkpoint", ckpt] + args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"parameter {name!r} holds a non-finite value" in err
+        assert not (tmp_path / "a.txt").exists()
+
     def test_checkpoint_with_a_retired_config_field_still_loads(self, tmp_path, capsys):
         # MicoConfig held ablate_kmeans_init until the model stopped reading it
         data_dir = make_dataset(tmp_path)

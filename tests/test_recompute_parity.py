@@ -248,6 +248,16 @@ def test_acceptance_size_matches_the_old_bodies(oracle, task, pooling, sizes, mo
 
 
 @pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("sizes", [(37,), (25, 41, 30)], ids=["pack1", "pack3"])
+@pytest.mark.parametrize("ablation", ["ablate_route", "ablate_reducer"])
+@pytest.mark.parametrize("task", model_mod.TASKS)
+def test_ablations_match_the_old_bodies(oracle, task, ablation, sizes, mode):
+    # without routing, the pool pools the bag features, which take no gradient
+    cfg = MicoConfig(d=32, anchors=16, layers=2, task=task, **{ablation: True})
+    _check(oracle, cfg, sizes, mode)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
 def test_slide_size_matches_the_old_bodies(oracle, mode):
     cfg = MicoConfig(d=512, anchors=64, layers=3, task="subtype")
     _check(oracle, cfg, (1024,), mode)

@@ -291,8 +291,11 @@ def test_slide_size_tape_and_backward_peak_fit_their_budgets():
     # 3 * (4 + 4) + 2 * 4 = 32 MiB, plus 3.25 MiB of (M, K) alignments and
     # assignments and anchor-sized arrays. Keeping Hn and X as well
     # held 24 MiB more (59.2 MiB), and its backward peaked 91.3 MiB above
-    # the live set. The gradients go to the optimizer's flat vector, as in
-    # training, so the peak counts the tape and backward's temporaries.
+    # the live set. The pool's backward peaks first: beside the full tape it
+    # holds two (M, h) temporaries and lets the gate activations go once
+    # both gate gradients exist (43.5 MiB; 51.3 while it held four). The
+    # gradients go to the optimizer's flat vector, as in training, so the
+    # peak counts the tape and backward's temporaries.
     rng = np.random.default_rng(0)
     model = MicoModel(MicoConfig(d=512, anchors=64, layers=3, task="subtype"), rng=rng)
     opt = ad.Adam(model.trainable_params(), lr=1e-3)
@@ -310,4 +313,4 @@ def test_slide_size_tape_and_backward_peak_fit_their_budgets():
     finally:
         tracemalloc.stop()
     assert tape <= 36 * MIB, f"tape {tape / MIB:.1f} MiB"
-    assert peak <= 58 * MIB, f"backward peak {peak / MIB:.1f} MiB"
+    assert peak <= 46 * MIB, f"backward peak {peak / MIB:.1f} MiB"

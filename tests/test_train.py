@@ -218,6 +218,43 @@ class TestTrain:
             train_fold(tiny_config(grad_accum=3), 0, bags[:12], bags[12:18], bags[18:],
                        np.random.SeedSequence(0))
 
+    @pytest.mark.parametrize("scores,epochs,patience,copied,best", [
+        ([0.6, 0.9, 0.7, 0.8], 4, 8, [1, 2], 2),
+        ([0.6, 0.9, 0.1, 0.1], 6, 2, [1, 2], 2),
+        ([0.6, 0.5, 0.9], 3, 8, [1], 3),
+    ], ids=["best-early", "early-stop", "best-last"])
+    def test_best_state_is_copied_after_each_improving_epoch_but_the_last(
+            self, monkeypatch, scores, epochs, patience, copied, best):
+        # the parameters each epoch was scored with, the test scoring's last;
+        # the early-stopped run ends after epoch 4 of 6
+        seen, copies = [], []
+        state_arrays = MicoModel.state_arrays
+
+        def recording_evaluate(model, bags):
+            seen.append({name: p.data.copy() for name, p in model.params.items()})
+            return evaluate_model(model, bags)
+
+        def spying_state_arrays(model):
+            copies.append(len(seen))   # the epochs scored so far
+            return state_arrays(model)
+
+        monkeypatch.setattr(train_mod, "evaluate_model", recording_evaluate)
+        monkeypatch.setattr(train_mod, "_val_score", lambda metrics, task: scores[len(seen) - 1])
+        monkeypatch.setattr(MicoModel, "state_arrays", spying_state_arrays)
+        bags = small_bags()
+        result, model, _ = train_fold(
+            tiny_config(epochs=epochs, early_stop_patience=patience), 0,
+            bags[:12], bags[12:18], bags[18:], np.random.SeedSequence(0))
+        assert copies == copied
+        assert result.best_epoch == best and result.epochs_run == len(scores)
+        assert len(seen) == len(scores) + 1
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, seen[best - 1][name]), name
+            assert np.array_equal(seen[-1][name], seen[best - 1][name]), name
+        if best < len(scores):
+            assert any(not np.array_equal(seen[best - 1][n], seen[len(scores) - 1][n])
+                       for n in seen[0])
+
     def test_task_label_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             train(tiny_config(task="survival"), small_bags(task="subtype"),

@@ -5,7 +5,8 @@
 Writes the synthetic datasets and every run under OUT, which must not exist,
 then prints the SHA-256 of each file under OUT in sorted order (report.json
 with its wall clock masked), the metrics and the SHA-256 of the logits of 600
-bags scored by one checkpoint, and the gradient check's errors. The mico on
+bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
+of 80 survival bags, and the gradient check's errors. The mico on
 the import path is the one measured: two processes, or a change and its
 parent, under the same BLAS build and thread count, must print the same lines.
 """
@@ -17,7 +18,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from mico.data import SynthConfig, generate, read_dataset, write_dataset
+from mico.losses import risk_score
 from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
                         end_to_end_gradcheck, evaluate_model, sweep_anchors, train)
 
@@ -79,5 +83,11 @@ model = _model_from_checkpoint(str(out / "small-subtype" / "fold0.mico"), score)
 logits = _outputs(model, score)
 print("score", json.dumps(evaluate_model(model, score), sort_keys=True), logits.shape,
       hashlib.sha256(logits.tobytes()).hexdigest())
+# survival scoring goes through risk_score and c_index, which subtype skips
+survival = read_dataset(str(out / "data" / "accum-survival"))
+model = _model_from_checkpoint(str(out / "accum" / "survival-2" / "fold0.mico"), survival)
+risks = np.array([risk_score(z) for z in _outputs(model, survival)])
+print("survival", json.dumps(evaluate_model(model, survival), sort_keys=True), risks.shape,
+      hashlib.sha256(risks.tobytes()).hexdigest())
 for task, pack in itertools.product(TASKS, (1, 3)):
     print("gradcheck", task, pack, repr(end_to_end_gradcheck(task, pack=pack)))

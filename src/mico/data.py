@@ -245,13 +245,24 @@ def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
 
 
 def read_dataset(data_dir: str) -> list[FeatureBag]:
+    """Read every bag the manifest lists, in its order. Each file is read
+    and checked whole, but the bags keep only their features and labels:
+    coords and type maps are for ``export-assignments``, which reads its
+    bag with ``read_bag``. A bag id that occurs twice raises DataError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     try:
         with open(manifest) as f:
             rels = [line.strip() for line in f if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
-    bags = [read_bag(os.path.join(data_dir, rel)) for rel in rels]
+    bags, seen = [], set()
+    for rel in rels:
+        bag = read_bag(os.path.join(data_dir, rel))
+        if bag.bag_id in seen:
+            raise DataError(f"bag id {bag.bag_id!r} occurs more than once")
+        seen.add(bag.bag_id)
+        bag.coords = bag.true_type_map = None
+        bags.append(bag)
     if not bags:
         raise DataError(f"manifest {manifest} lists no bags")
     return bags

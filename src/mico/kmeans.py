@@ -234,8 +234,11 @@ def _assign(s: _Lloyd) -> np.ndarray:
     # a certified row's one near center; other rows are overwritten below
     best = np.einsum("k,kn->n", held.astype(key), near).astype(np.intp)
     open_rows = np.flatnonzero((count != 1) | ~np.isfinite(bound))
-    if open_rows.size:
-        best[open_rows] = np.argmin(_sq_dists(points[open_rows], centers), axis=1)
+    # a block of open rows at a time, so even a pool of near-ties holds no
+    # (n, d) copy; each row's distances are the same in any block
+    for part, _ in blocks((open_rows.size, d)):
+        rows = open_rows[part]
+        best[rows] = np.argmin(_sq_dists(points[rows], centers), axis=1)
     return best
 
 
@@ -249,8 +252,9 @@ def _lloyd_pass(s: _Lloyd) -> None:
     Update: a center whose rows are the same as in the last pass keeps its
     mean, which was the same reduction over the same rows, and a row keeps
     its distance when neither its center's rows nor its center's bits
-    changed. The rows of every other center are gathered into label order.
-    Each such center's rows form one contiguous block, with the contents
+    changed. The rows of every other center are gathered one center at a
+    time, in index order, into one buffer the size of the largest such
+    cluster, so no copy of all n rows is made. Each block has the contents
     and layout of ``points[labels == j]``: ``np.add.reduce`` over it and a
     division by its count give ``block.mean(axis=0)``'s bits. The block is
     then shifted in place by its center, and one ``einsum`` gives each of
@@ -270,15 +274,19 @@ def _lloyd_pass(s: _Lloyd) -> None:
     rows = np.flatnonzero(stale[labels])
     order, sizes, spans = _groups(labels[rows], k)
     rows = rows[order]
-    grouped = np.take(s.points, rows, axis=0)
+    buffer = np.empty((sizes.max(), s.points.shape[1]))
+    d2 = np.empty(len(rows))
     # an overflowing sum or distance raises DataError in fit's loop
     with np.errstate(over="ignore"):
         for j, start, end in spans:
-            block = grouped[start:end]
+            block = buffer[:end - start]
+            # mode="clip" writes straight into the block; "raise" would buffer
+            np.take(s.points, rows[start:end], axis=0, out=block, mode="clip")
             if regrouped[j]:
                 np.add.reduce(block, axis=0, out=s.means[j])
             block -= s.centers[j]
-        s.point_d2[rows] = _row_sq_norms(grouped)
+            np.einsum("nd,nd->n", block, block, out=d2[start:end])
+    s.point_d2[rows] = d2
     s.sizes[stale] = sizes[stale]
     fresh = regrouped & (s.sizes > 0)
     s.means[fresh] /= s.sizes[fresh, None]
@@ -294,12 +302,13 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     ``MAX_ITERS`` Lloyd iterations. Empty clusters are re-seeded to the point
     currently farthest from its assigned center, so exactly ``k`` centers
     always survive. Features whose squared distances overflow raise
-    DataError. Temporaries are (k, n) and (n, d), never (n, k, d).
+    DataError. Temporaries are the (k, n) distance block, a few (n,)
+    vectors and one cluster's rows, never an (n, d) copy of the instances.
     """
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ConfigError(f"kmeans: instances must be a 2-D matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not all(np.isfinite(X[rows]).all() for rows, _ in blocks(X.shape)):
         raise DataError("kmeans: non-finite instance features")
     n = X.shape[0]
     if k < 1 or n < k:

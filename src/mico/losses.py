@@ -73,7 +73,10 @@ def survival_nll(hazard_logits: Tensor, labels: list[SurvivalLabel],
 
 def survival_curve(hazard_logits: np.ndarray) -> np.ndarray:
     """S_b = prod_{j<=b} (1 - sigmoid(logit_j)) as a plain array."""
-    p = 1.0 / (1.0 + np.exp(-np.asarray(hazard_logits, dtype=np.float64).reshape(-1)))
+    # a logit below about -709 overflows exp to inf, and 1/(1 + inf) = 0.0
+    # is its hazard
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-np.asarray(hazard_logits, dtype=np.float64).reshape(-1)))
     return np.cumprod(1.0 - p)
 
 

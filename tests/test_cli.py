@@ -96,7 +96,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
 
     def test_bag_listed_twice_returns_data_error(self, tmp_path, capsys):
-        # read_dataset returns the bag twice; training must not drop a copy
+        # read_dataset refuses the second copy before any fold is made
         data_dir = make_dataset(tmp_path)
         with open(os.path.join(data_dir, "manifest.txt"), "a") as f:
             f.write("bag0003.mbag\n")
@@ -105,6 +105,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")] + TRAIN_FLAGS) == EXIT_DATA
         assert capsys.readouterr().err == "data error: bag id 'bag0003' occurs more than once\n"
         assert not (tmp_path / "out" / "fold0.mico").exists()
+
+    def test_bag_listed_twice_in_evaluate_returns_data_error(self, tmp_path, capsys):
+        # scoring the copy too counted the bag twice in every metric
+        data_dir = make_dataset(tmp_path)
+        with open(os.path.join(data_dir, "manifest.txt"), "a") as f:
+            f.write("bag0003.mbag\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", make_checkpoint(tmp_path),
+                     "--data", data_dir]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "data error: bag id 'bag0003' occurs more than once\n"
+        assert captured.out == ""
 
     def test_fold_without_an_optimizer_step_returns_config_error(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path, n_bags=12, d=4, m_range=[3, 6])
@@ -279,6 +291,24 @@ class TestExitCodes:
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("numerical error: fold 0")
+
+    def test_hazard_logits_below_exp_range_score_without_a_warning(self, tmp_path):
+        # exp(800) overflows to inf, and 1/(1 + inf) = 0 is the hazard; the
+        # command runs in a process of its own, where the warning would show
+        data_dir = make_dataset(tmp_path, task="survival")
+        cfg = MicoConfig(d=6, anchors=4, layers=2, task="survival")
+        state = MicoModel(cfg, rng=np.random.default_rng(0)).state_arrays()
+        state["head.b"][:] = -800.0
+        ckpt = str(tmp_path / "model.mico")
+        save_checkpoint(ckpt, asdict(cfg), state)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mico.cli", "evaluate", "--checkpoint", ckpt,
+             "--data", data_dir], capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert set(json.loads(proc.stdout)) == {"c_index"}
 
     @pytest.mark.parametrize("value", ["0.1", True, "nan", "inf", 0, -1e-3, None])
     def test_bad_learning_rate_returns_config_error(self, tmp_path, capsys, value):

@@ -246,6 +246,36 @@ class TestDataset:
             write_dataset(bags, str(out_dir))
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("copy", ["same-file", "second-file"])
+    def test_repeated_id_is_rejected_when_read(self, tmp_path, copy):
+        write_dataset(generate(cfg(n_bags=3, seed=8)), str(tmp_path))
+        if copy == "second-file":
+            (tmp_path / "again.mbag").write_bytes((tmp_path / "bag0001.mbag").read_bytes())
+        with open(tmp_path / "manifest.txt", "a") as f:
+            f.write("bag0001.mbag\n" if copy == "same-file" else "again.mbag\n")
+        with pytest.raises(DataError, match="^bag id 'bag0001' occurs more than once$"):
+            read_dataset(str(tmp_path))
+
+    def test_bags_keep_features_and_labels_but_not_coords_or_type_maps(self, tmp_path):
+        bags = generate(cfg(n_bags=3, seed=8))
+        write_dataset(bags, str(tmp_path))
+        for got, bag in zip(read_dataset(str(tmp_path)), bags):
+            assert np.array_equal(got.features, bag.features) and got.label == bag.label
+            assert got.coords is None and got.true_type_map is None
+        # read_bag, which export-assignments uses, keeps both
+        got = read_bag(str(tmp_path / "bag0000.mbag"))
+        assert np.array_equal(got.coords, bags[0].coords)
+        assert np.array_equal(got.true_type_map, bags[0].true_type_map)
+
+    def test_damage_in_a_type_map_is_still_caught(self, tmp_path):
+        write_dataset(generate(cfg(n_bags=3, seed=8)), str(tmp_path))
+        path = tmp_path / "bag0002.mbag"
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x01  # the last type-map byte, just before the CRC
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            read_dataset(str(tmp_path))
+
 
 class TestFolds:
     def test_split_sizes_100_bags(self):

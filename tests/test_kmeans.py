@@ -444,8 +444,21 @@ class TestCertifiedSeeding:
         assert sum(calls[1:]) / (n * (k - 1)) < 0.25
 
 
-def test_fit_temporaries_stay_within_a_quarter_over_n_by_k_plus_n_by_d():
-    n, k, d = 4000, 64, 32
+@pytest.mark.parametrize("n,k,d", [(4000, 64, 32), (2048, 64, 512)])
+def test_fit_temporaries_stay_within_a_quarter_over_the_distance_block_and_one_cluster(
+        monkeypatch, n, k, d):
+    # the (k, n) distance block, the rows of the largest cluster one pass
+    # gathers, and the centers and their means; measured at 1.17-1.19 times
+    # that, where a gather of every row (4.1 times at d = 512) fails
+    largest = []
+    groups = kmeans._groups
+
+    def spy(labels, count):
+        order, sizes, spans = groups(labels, count)
+        largest.append(int(sizes.max()))
+        return order, sizes, spans
+
+    monkeypatch.setattr(kmeans, "_groups", spy)
     X = np.random.default_rng(0).standard_normal((n, d))
     tracemalloc.start()
     try:
@@ -453,7 +466,16 @@ def test_fit_temporaries_stay_within_a_quarter_over_n_by_k_plus_n_by_d():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * (k + d) * 8
+    assert peak <= 1.25 * 8 * (k * n + max(largest) * d + 2 * k * d)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_the_last_row_block_raises(value):
+    # the finiteness check runs a row block at a time; it must reach the last
+    X = np.random.default_rng(0).standard_normal((3 * ad.BLOCK // 32 + 5, 32))
+    X[-1, -1] = value
+    with pytest.raises(DataError, match="non-finite"):
+        kmeans.fit(X, k=4, seed=0)
 
 
 class TestCertifiedAssignment:
@@ -478,6 +500,23 @@ class TestCertifiedAssignment:
         assert certified_argmin(X, C)[0] == 1
         X = np.array([[1.34e154], [1.0e154], [0.85e154], [0.8e154]])
         assert_same_fit(kmeans.fit(X, 2, seed=0), oracle_fit(X, 2, seed=0))
+
+    def test_open_rows_over_many_row_blocks_take_the_loops_argmin(self, monkeypatch):
+        # one point repeated: the centers coincide, every row ties, and the
+        # loop's rows run a block of 64 rows at a time at d = 512
+        X = np.tile(np.random.default_rng(5).standard_normal(512), (600, 1))
+        blocks_run = []
+        sq_dists = kmeans._sq_dists
+
+        def spy(points, centers):
+            blocks_run.append(len(points))
+            return sq_dists(points, centers)
+
+        monkeypatch.setattr(kmeans, "_sq_dists", spy)
+        got = kmeans.fit(X, 3, seed=0)
+        monkeypatch.undo()
+        assert sum(blocks_run) >= len(X) and max(blocks_run) == ad.BLOCK // X.shape[1]
+        assert_same_fit(got, oracle_fit(X, 3, seed=0))
 
     def test_exact_tie_goes_to_the_lower_index(self):
         # x is equally far from both centers under the loop, while the

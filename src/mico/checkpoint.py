@@ -19,40 +19,44 @@ from . import framing
 from .errors import HeaderError
 
 MAGIC = b"MICO1"
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_F8 = np.dtype("<f8")
 
 
 def save_checkpoint(path: str, config: dict, params: dict[str, np.ndarray]) -> None:
     cfg = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [struct.pack("<I", len(cfg)), cfg, struct.pack("<I", len(params))]
+    parts = [_U32.pack(len(cfg)), cfg, _U32.pack(len(params))]
     for name, arr in params.items():
         arr = np.asarray(arr, dtype=np.float64)
         nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
+        parts.append(_U16.pack(len(nb)))
         parts.append(nb)
-        parts.append(struct.pack("<B", arr.ndim))
+        parts.append(_U8.pack(arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8"))
+        parts.append(np.ascontiguousarray(arr, dtype=_F8))
     framing.write_framed(path, MAGIC, parts)
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     r = framing.read_framed(path, MAGIC)
-    (cfg_len,) = r.unpack("<I", "config length")
+    (cfg_len,) = r.unpack(_U32, "config length")
     try:
         config = json.loads(r.text(cfg_len, "config"))
     except json.JSONDecodeError as exc:
         raise HeaderError(f"{path}: unreadable config block: {exc}") from exc
-    (n_params,) = r.unpack("<I", "parameter count")
+    (n_params,) = r.unpack(_U32, "parameter count")
 
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        (name_len,) = r.unpack("<H", "name length")
+        (name_len,) = r.unpack(_U16, "name length")
         name = r.text(name_len, "name")
-        (rank,) = r.unpack("<B", "rank")
-        shape = r.unpack(f"<{rank}Q", "shape")
+        (rank,) = r.unpack(_U8, "rank")
+        shape = r.unpack(struct.Struct(f"<{rank}Q"), "shape")
         if name in params:
             raise HeaderError(f"{path}: parameter {name!r} appears twice")
-        params[name] = r.array("<f8", shape, f"payload of {name!r}")
+        params[name] = r.array(_F8, shape, f"payload of {name!r}")
         # a NaN in the head would score as a silent 0, and one in the layers
         # fail deep in the forward as a numerical error
         if not np.isfinite(params[name]).all():

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import fields
 
+from . import framing
 from .data import SynthConfig, generate, read_bag, read_dataset, write_dataset
 from .errors import ConfigError, DataError, MicoError, NumericalError
 from .model import POOLINGS, TASKS
@@ -171,7 +172,7 @@ def run(argv: list[str]) -> int:
     elif args.command == "export-assignments":
         text = export_assignments(args.checkpoint, read_bag(args.bag))
         if args.out:
-            with open(args.out, "w") as f:
+            with framing.open_atomic(args.out) as f:
                 f.write(text)
             print(f"wrote {args.out}")
         else:

@@ -46,7 +46,7 @@ class FeatureBag:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DataError(f"bag {self.bag_id!r}: features must be (M>=1, d)")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise DataError(f"bag {self.bag_id!r}: non-finite features")
         # the bag file stores M rows of each, so another shape cannot round-trip
         if self.coords is not None:
@@ -171,50 +171,56 @@ def generate(config: SynthConfig) -> list[FeatureBag]:
 
 _KIND_SURVIVAL = 0
 _KIND_SUBTYPE = 1
+# the fixed-size fields, grouped so that a read takes three unpacks
+_ID_LEN = struct.Struct("<H")
+_DIMS_KIND = struct.Struct("<IIB")
+_LABEL_FLAGS = {_KIND_SURVIVAL: struct.Struct("<dBiB"), _KIND_SUBTYPE: struct.Struct("<iB")}
+_F8 = np.dtype("<f8")
+_I4 = np.dtype("<i4")
 
 
 def write_bag(bag: FeatureBag, path: str) -> None:
     bid = bag.bag_id.encode("utf-8")
     M, d = bag.features.shape
-    parts = [struct.pack("<H", len(bid)), bid, struct.pack("<II", M, d)]
+    flags = (1 if bag.coords is not None else 0) | (2 if bag.true_type_map is not None else 0)
     if isinstance(bag.label, SurvivalLabel):
-        parts.append(struct.pack("<B", _KIND_SURVIVAL))
-        parts.append(struct.pack("<dBi", bag.label.time, int(bag.label.event), -1))
+        kind, label = _KIND_SURVIVAL, (bag.label.time, int(bag.label.event), -1)
     elif isinstance(bag.label, SubtypeLabel):
-        parts.append(struct.pack("<B", _KIND_SUBTYPE))
-        parts.append(struct.pack("<i", bag.label.class_index))
+        kind, label = _KIND_SUBTYPE, (bag.label.class_index,)
     else:
         raise DataError(f"bag {bag.bag_id!r} has no label to serialize")
-    flags = (1 if bag.coords is not None else 0) | (2 if bag.true_type_map is not None else 0)
-    parts.append(struct.pack("<B", flags))
-    parts.append(np.ascontiguousarray(bag.features, dtype="<f8"))
+    parts = [_ID_LEN.pack(len(bid)), bid, _DIMS_KIND.pack(M, d, kind),
+             _LABEL_FLAGS[kind].pack(*label, flags),
+             np.ascontiguousarray(bag.features, dtype=_F8)]
     if bag.coords is not None:
-        parts.append(np.ascontiguousarray(bag.coords, dtype="<f8"))
+        parts.append(np.ascontiguousarray(bag.coords, dtype=_F8))
     if bag.true_type_map is not None:
-        parts.append(np.ascontiguousarray(bag.true_type_map, dtype="<i4"))
+        parts.append(np.ascontiguousarray(bag.true_type_map, dtype=_I4))
     framing.write_framed(path, MAGIC, parts)
 
 
-def read_bag(path: str) -> FeatureBag:
+def read_bag(path: str, *, metadata: bool = True) -> FeatureBag:
+    """Read and check one bag file. With ``metadata=False`` the coords and
+    type map are not built: their sections are only checked to have their
+    exact lengths, so a file with bytes missing or left over still raises
+    HeaderError or TruncationError."""
     r = framing.read_framed(path, MAGIC)
-    (id_len,) = r.unpack("<H", "bag id length")
+    (id_len,) = r.unpack(_ID_LEN, "bag id length")
     bag_id = r.text(id_len, "bag id")
-    M, d = r.unpack("<II", "dimensions")
+    M, d, kind = r.unpack(_DIMS_KIND, "dimensions and label kind")
     if M < 1 or d < 1:
         raise HeaderError(f"{path}: invalid dimensions M={M}, d={d}")
-    (kind,) = r.unpack("<B", "label kind")
-    if kind == _KIND_SURVIVAL:
-        time, event, _ = r.unpack("<dBi", "survival label")
-        label = SurvivalLabel(time=time, event=bool(event))
-    elif kind == _KIND_SUBTYPE:
-        (cls,) = r.unpack("<i", "subtype label")
-        label = SubtypeLabel(class_index=cls)
-    else:
+    if kind not in _LABEL_FLAGS:
         raise HeaderError(f"{path}: unknown label kind {kind}")
-    (flags,) = r.unpack("<B", "flags")
-    features = r.array("<f8", (M, d), "features")
-    coords = r.array("<f8", (M, 2), "coords") if flags & 1 else None
-    type_map = r.array("<i4", (M,), "type map") if flags & 2 else None
+    *fields, flags = r.unpack(_LABEL_FLAGS[kind], "label and flags")
+    if kind == _KIND_SURVIVAL:
+        label = SurvivalLabel(time=fields[0], event=bool(fields[1]))
+    else:
+        label = SubtypeLabel(class_index=fields[0])
+    features = r.array(_F8, (M, d), "features")
+    section = r.array if metadata else r.skip
+    coords = section(_F8, (M, 2), "coords") if flags & 1 else None
+    type_map = section(_I4, (M,), "type map") if flags & 2 else None
     r.done()
     return FeatureBag(bag_id=bag_id, features=features, coords=coords,
                       label=label, true_type_map=type_map)
@@ -239,16 +245,17 @@ def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
         write_bag(bag, os.path.join(out_dir, rel))
         lines.append(rel)
     manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as f:
+    with framing.open_atomic(manifest) as f:
         f.write("\n".join(lines) + "\n")
     return manifest
 
 
 def read_dataset(data_dir: str) -> list[FeatureBag]:
-    """Read every bag the manifest lists, in its order. Each file is read
-    and checked whole, but the bags keep only their features and labels:
-    coords and type maps are for ``export-assignments``, which reads its
-    bag with ``read_bag``. A bag id that occurs twice raises DataError."""
+    """Read every bag the manifest lists, in its order, with one
+    ``read_bag(path, metadata=False)`` call per file. Each file is read and
+    checked whole, but the bags hold only their features and labels: coords
+    and type maps are for ``export-assignments``, which reads its bag with
+    ``read_bag``. A bag id that occurs twice raises DataError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     try:
         with open(manifest) as f:
@@ -257,11 +264,10 @@ def read_dataset(data_dir: str) -> list[FeatureBag]:
         raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
     bags, seen = [], set()
     for rel in rels:
-        bag = read_bag(os.path.join(data_dir, rel))
+        bag = read_bag(os.path.join(data_dir, rel), metadata=False)
         if bag.bag_id in seen:
             raise DataError(f"bag id {bag.bag_id!r} occurs more than once")
         seen.add(bag.bag_id)
-        bag.coords = bag.true_type_map = None
         bags.append(bag)
     if not bags:
         raise DataError(f"manifest {manifest} lists no bags")
@@ -278,9 +284,10 @@ def make_folds(bag_ids: list[str], n_folds: int = 4,
                seed: int = 0) -> list[tuple[list[str], list[str], list[str]]]:
     """Per-fold disjoint (train, val, test) id lists at the ``SPLIT`` ratios.
 
-    Test sets rotate through consecutive chunks of one fixed shuffle, so they
-    are as disjoint across folds as the test fraction allows; rounding is
-    to-nearest with the train split absorbing the remainder.
+    Test sets are consecutive chunks of one fixed shuffle, so no bag is
+    tested in two folds: ``n_folds`` chunks of ``n_test`` bags must fit in
+    the ``n`` bags, else ConfigError. Rounding is to-nearest with the train
+    split absorbing the remainder.
     """
     n = len(bag_ids)
     repeated = [b for b, count in Counter(bag_ids).items() if count > 1]
@@ -290,6 +297,9 @@ def make_folds(bag_ids: list[str], n_folds: int = 4,
     n_val = round(SPLIT[1] * n)
     if n_test < 1 or n_val < 1 or n - n_test - n_val < 1:
         raise DataError(f"too few bags ({n}) for a {SPLIT} split")
+    if n_folds * n_test > n:
+        raise ConfigError(f"{n_folds} folds of {n_test} test bags need {n_folds * n_test} bags, "
+                          f"got {n}: at most {n // n_test} folds keep every test set apart")
 
     ss = np.random.SeedSequence(seed)
     root_rng = np.random.default_rng(ss)
@@ -298,7 +308,7 @@ def make_folds(bag_ids: list[str], n_folds: int = 4,
 
     folds = []
     for i in range(n_folds):
-        test = [shuffled[(i * n_test + j) % n] for j in range(n_test)]
+        test = shuffled[i * n_test:(i + 1) * n_test]
         test_set = set(test)
         rest = [b for b in shuffled if b not in test_set]
         fold_rng = np.random.default_rng(fold_seeds[i])

@@ -3,6 +3,7 @@ cross-entropy for subtype classification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ class SurvivalLabel:
     event: bool
 
     def __post_init__(self):
-        if self.time < 0 or not np.isfinite(self.time):
+        if self.time < 0 or not math.isfinite(self.time):
             raise DataError(f"survival time must be finite and non-negative, got {self.time}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import kmeans
+from . import framing, kmeans
 from .autodiff import Adam, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import FeatureBag, make_folds
@@ -375,7 +375,7 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str) -> RunRepor
         config=asdict(config), folds=results, mean=mean, std=std,
         notes=[OPTIMIZER_NOTE, KMEANS_NOTE],
         wall_clock_s=time.monotonic() - start)
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
+    with framing.open_atomic(os.path.join(out_dir, "report.json")) as f:
         f.write(report.to_json())
     return report
 
@@ -420,7 +420,7 @@ def ablate(config: TrainConfig, bags: list[FeatureBag], out_dir: str) -> dict[st
     for name, overrides in ABLATIONS:
         sub_dir = os.path.join(out_dir, name.replace("/", "_").replace(" ", "_"))
         reports[name] = train(replace(config, **overrides), bags, out_dir=sub_dir)
-    with open(os.path.join(out_dir, "ablation_table.txt"), "w") as f:
+    with framing.open_atomic(os.path.join(out_dir, "ablation_table.txt")) as f:
         f.write(comparison_table(reports, config.task))
     return reports
 
@@ -435,9 +435,9 @@ def sweep_anchors(config: TrainConfig, bags: list[FeatureBag],
     reports = {c: train(cfg, bags, out_dir=os.path.join(out_dir, f"anchors{c}"))
                for c, cfg in configs.items()}
     labeled = {f"{c} anchors": r for c, r in reports.items()}
-    with open(os.path.join(out_dir, "sweep_table.txt"), "w") as f:
+    with framing.open_atomic(os.path.join(out_dir, "sweep_table.txt")) as f:
         f.write(comparison_table(labeled, config.task))
-    with open(os.path.join(out_dir, "sweep_data.csv"), "w") as f:
+    with framing.open_atomic(os.path.join(out_dir, "sweep_data.csv")) as f:
         names = _metric_names(config.task)
         f.write("anchors," + ",".join(
             f"{m}_mean,{m}_std" for m in names) + "\n")

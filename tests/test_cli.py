@@ -128,6 +128,19 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error: fold 0: no optimizer step")
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("n_folds", ["5", "100000"])
+    def test_folds_that_would_test_a_bag_twice_return_config_error(self, tmp_path, capsys,
+                                                                   n_folds):
+        # 24 bags hold four disjoint test sets of 6; 100000 folds used to train on
+        data_dir = make_dataset(tmp_path)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["train", "--data", data_dir, "--out", str(out_dir), "--n-folds", n_folds]
+                    + TRAIN_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("at most 4 folds keep every test set apart\n")
+        assert not out_dir.exists()
+
     def test_missing_checkpoint_returns_data_error(self, tmp_path):
         data_dir = make_dataset(tmp_path)
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.mico"),
@@ -526,6 +539,35 @@ class TestFullFlow:
                      "--out", export_path]) == EXIT_OK
         with open(export_path) as f:
             assert f.readline().startswith("# instance")
+
+    def test_every_output_file_is_written_whole_then_renamed(self, tmp_path, monkeypatch):
+        written = set()
+        atomic = framing.open_atomic
+
+        def recording(path, mode="w"):
+            written.add(os.path.realpath(path))
+            return atomic(path, mode)
+
+        monkeypatch.setattr(framing, "open_atomic", recording)
+        data_dir = make_dataset(tmp_path)
+        flags = ["--data", data_dir, "--seed", "3", "--epochs", "1", "--layers", "1",
+                 "--task", "subtype", "--n-folds", "1"]
+        assert main(["train", "--out", str(tmp_path / "run"), "--anchor-count", "4"]
+                    + flags) == EXIT_OK
+        assert main(["ablate", "--out", str(tmp_path / "abl"), "--anchor-count", "4"]
+                    + flags) == EXIT_OK
+        assert main(["sweep-anchors", "--out", str(tmp_path / "sweep"), "--counts", "2,4"]
+                    + flags) == EXIT_OK
+        assert main(["export-assignments", "--checkpoint", str(tmp_path / "run" / "fold0.mico"),
+                     "--bag", os.path.join(data_dir, "bag0001.mbag"),
+                     "--out", str(tmp_path / "assign.txt")]) == EXIT_OK
+        outputs = {os.path.realpath(os.path.join(root, name))
+                   for root, _, names in os.walk(tmp_path) for name in names}
+        outputs.discard(os.path.realpath(tmp_path / "synth.json"))  # the test's own input
+        # bags and manifest, a run, four ablation runs and a table, two sweep
+        # runs, a table and a CSV, and the export
+        assert len(outputs) == 25 + 2 + (4 * 2 + 1) + (2 * 2 + 2) + 1
+        assert outputs == written
 
     def test_config_file_merged_with_flag_overrides(self, tmp_path, capsys):
         data_dir = make_dataset(tmp_path)

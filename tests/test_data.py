@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mico import data as md
 from mico import framing
@@ -308,3 +309,39 @@ class TestFolds:
     def test_too_few_bags_rejected(self):
         with pytest.raises(DataError):
             make_folds(["a", "b"])
+
+    def test_folds_whose_test_sets_would_overlap_are_rejected(self):
+        # 25 bags hold four test chunks of 6; a fifth would wrap onto the first
+        ids = [f"b{i}" for i in range(25)]
+        tests = [set(t) for _, _, t in make_folds(ids, n_folds=4)]
+        assert sum(map(len, tests)) == len(set().union(*tests)) == 24
+        with pytest.raises(ConfigError, match=r"^5 folds of 6 test bags need 30 bags, got 25: "
+                                              r"at most 4 folds keep every test set apart$"):
+            make_folds(ids, n_folds=5)
+
+    def test_huge_fold_count_is_rejected_before_any_fold_is_built(self):
+        with pytest.raises(ConfigError, match="at most 4 folds"):
+            make_folds([f"b{i}" for i in range(24)], n_folds=100000)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 90), n_folds=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_folds_partition_the_ids_and_never_test_a_bag_twice(n, n_folds, seed):
+    ids = [f"b{i}" for i in range(n)]
+    n_test = round(md.SPLIT[2] * n)
+    try:
+        folds = make_folds(ids, n_folds=n_folds, seed=seed)
+    except ConfigError:
+        # refused exactly when the test chunks cannot all be disjoint
+        assert n_folds * n_test > n
+        return
+    except DataError:
+        assert n_test < 1 or round(md.SPLIT[1] * n) < 1 or n - n_test - round(md.SPLIT[1] * n) < 1
+        return
+    assert len(folds) == n_folds
+    tested = []
+    for train, val, test in folds:
+        assert sorted(train + val + test) == sorted(ids)
+        assert len(test) == n_test
+        tested += test
+    assert len(set(tested)) == len(tested)

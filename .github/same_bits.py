@@ -1,6 +1,6 @@
 """Train and score a fixed set of same-seed runs; print a digest of each output.
 
-    python .github/same_bits.py OUT
+    python .github/same_bits.py [--stream] OUT
 
 Writes the synthetic datasets and every run under OUT, which must not exist,
 then prints the SHA-256 of each file under OUT in sorted order (report.json
@@ -9,23 +9,32 @@ bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
 of 80 survival bags, and the gradient check's errors. The mico on
 the import path is the one measured: two processes, or a change and its
 parent, under the same BLAS build and thread count, must print the same lines.
+With --stream every dataset bag is read from its file at each use
+(``mico.data.RESIDENT_BYTES = 0``), which must not move a line either.
 """
 
+import argparse
 import hashlib
 import itertools
 import json
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
 
+import mico.data
 from mico.data import SynthConfig, generate, read_dataset, write_dataset
 from mico.losses import risk_score
 from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
                         end_to_end_gradcheck, evaluate_model, sweep_anchors, train)
 
-out = Path(sys.argv[1])
+parser = argparse.ArgumentParser()
+parser.add_argument("out")
+parser.add_argument("--stream", action="store_true", help="keep no bag resident")
+args = parser.parse_args()
+if args.stream:
+    mico.data.RESIDENT_BYTES = 0
+out = Path(args.out)
 out.mkdir(parents=True)
 TASKS = ("subtype", "survival")
 

@@ -1,5 +1,6 @@
 """Synthetic bag generation with planted, spatially dispersed prototypes,
-bag file I/O (magic MBAG1, CRC-checked), and cross-validation fold splits."""
+bag file I/O (magic MBAG1, CRC-checked), datasets that keep only a prefix of
+their bags in memory, and cross-validation fold splits."""
 
 from __future__ import annotations
 
@@ -33,6 +34,14 @@ ARENA = 100.0
 CELL_GRID = 5
 BLOB_JITTER = 8.0
 
+# `read_dataset` keeps bags in memory, in manifest order, while their
+# features total at most this many bytes; every later bag is a `StreamedBag`.
+# A fixed prefix needs no eviction, and under the cyclic order of epochs a
+# cache smaller than the dataset would never hit. 16 MiB holds every
+# acceptance-size dataset whole (1,000 bags of M <= 50, d = 32 is 12.2 MiB)
+# and four slide-size bags (M = 1024, d = 512).
+RESIDENT_BYTES = 16 << 20
+
 
 @dataclass
 class FeatureBag:
@@ -61,8 +70,43 @@ class FeatureBag:
                                 f"({self.n_instances},), got {self.true_type_map.shape}")
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """(M, d), which a `StreamedBag` knows without reading its file."""
+        return self.features.shape
+
+    @property
     def n_instances(self) -> int:
-        return self.features.shape[0]
+        return self.shape[0]
+
+
+class StreamedBag(FeatureBag):
+    """A dataset bag whose features stay in its file. It holds the header
+    `read_dataset` checked: the id, the label and (M, d). Each read of
+    ``features`` reads the file again with ``read_bag(path,
+    metadata=False)``, which checks its CRC, and returns a fresh array; a
+    file whose id, shape or label changed raises HeaderError, and a missing
+    one DataError. It has no coords or type map."""
+
+    def __init__(self, path: str, header: FeatureBag):
+        self.path = path
+        self.bag_id = header.bag_id
+        self.label = header.label
+        self._shape = header.shape
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def features(self) -> np.ndarray:
+        bag = read_bag(self.path, metadata=False)
+        if (bag.bag_id, bag.shape, bag.label) != (self.bag_id, self._shape, self.label):
+            raise HeaderError(f"{self.path}: bag {self.bag_id!r} changed since its dataset was "
+                              f"read: now bag {bag.bag_id!r} of shape {bag.shape}, {bag.label}")
+        return bag.features
+
+    def __repr__(self) -> str:
+        return f"StreamedBag(path={self.path!r}, bag_id={self.bag_id!r}, shape={self._shape})"
 
 
 @dataclass
@@ -199,11 +243,12 @@ def write_bag(bag: FeatureBag, path: str) -> None:
     framing.write_framed(path, MAGIC, parts)
 
 
-def read_bag(path: str, *, metadata: bool = True) -> FeatureBag:
+def read_bag(path: str, *, metadata: bool = True, copy: bool = True) -> FeatureBag:
     """Read and check one bag file. With ``metadata=False`` the coords and
     type map are not built: their sections are only checked to have their
     exact lengths, so a file with bytes missing or left over still raises
-    HeaderError or TruncationError."""
+    HeaderError or TruncationError. With ``copy=False`` the features are a
+    read-only view of the verified file bytes, which they keep alive."""
     r = framing.read_framed(path, MAGIC)
     (id_len,) = r.unpack(_ID_LEN, "bag id length")
     bag_id = r.text(id_len, "bag id")
@@ -217,7 +262,7 @@ def read_bag(path: str, *, metadata: bool = True) -> FeatureBag:
         label = SurvivalLabel(time=fields[0], event=bool(fields[1]))
     else:
         label = SubtypeLabel(class_index=fields[0])
-    features = r.array(_F8, (M, d), "features")
+    features = r.array(_F8, (M, d), "features", copy=copy)
     section = r.array if metadata else r.skip
     coords = section(_F8, (M, 2), "coords") if flags & 1 else None
     type_map = section(_I4, (M,), "type map") if flags & 2 else None
@@ -252,22 +297,34 @@ def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
 
 def read_dataset(data_dir: str) -> list[FeatureBag]:
     """Read every bag the manifest lists, in its order, with one
-    ``read_bag(path, metadata=False)`` call per file. Each file is read and
-    checked whole, but the bags hold only their features and labels: coords
-    and type maps are for ``export-assignments``, which reads its bag with
-    ``read_bag``. A bag id that occurs twice raises DataError."""
+    ``read_bag(path, metadata=False, copy=False)`` call per file. Each file
+    is read and checked whole: its CRC, its header and the finiteness of its
+    features. The bags hold only their features and labels: coords and type
+    maps are for ``export-assignments``, which reads its bag with
+    ``read_bag``. Bags stay in memory, as a copy of their features, while the
+    features read so far total at most `RESIDENT_BYTES`; from the first bag
+    that does not fit on, each is a `StreamedBag`, which reads its file again
+    at each use, and no copy of its features is made here. A bag id that
+    occurs twice raises DataError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     try:
         with open(manifest) as f:
             rels = [line.strip() for line in f if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
-    bags, seen = [], set()
+    bags, seen, budget = [], set(), RESIDENT_BYTES
     for rel in rels:
-        bag = read_bag(os.path.join(data_dir, rel), metadata=False)
+        path = os.path.join(data_dir, rel)
+        bag = read_bag(path, metadata=False, copy=False)
         if bag.bag_id in seen:
             raise DataError(f"bag id {bag.bag_id!r} occurs more than once")
         seen.add(bag.bag_id)
+        if bag.features.nbytes <= budget:
+            budget -= bag.features.nbytes
+            bag.features = bag.features.copy()
+        else:
+            budget = -1  # the resident bags are a prefix of the manifest
+            bag = StreamedBag(path, bag)
         bags.append(bag)
     if not bags:
         raise DataError(f"manifest {manifest} lists no bags")

@@ -9,13 +9,16 @@ before any field is parsed. Callers describe only their own fields.
 
 `open_atomic` writes a file under a temporary name in its directory and
 renames it over the target once it is whole, so a write that fails part way
-leaves the old file or none, never a partial one.
+leaves the old file or none, never a partial one. A writer killed outright
+leaves its temporary behind; `remove_temporaries` clears those of the
+targets a caller owns.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import zlib
 from contextlib import contextmanager
@@ -40,6 +43,7 @@ def open_atomic(path: str, mode: str = "w"):
     writer, not a power loss."""
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
+    # 12 hex digits, which remove_temporaries matches
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         f = open(tmp, mode.replace("w", "x"))
@@ -53,6 +57,16 @@ def open_atomic(path: str, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def remove_temporaries(directory: str, targets: str) -> None:
+    """Remove from ``directory`` the temporaries that `open_atomic` writers
+    killed outright left for targets whose names fully match the regular
+    expression ``targets``. Every other file stays."""
+    leftover = re.compile(rf"\.(?:{targets})\.[0-9a-f]{{12}}\.tmp")
+    for name in os.listdir(directory):
+        if leftover.fullmatch(name):
+            os.unlink(os.path.join(directory, name))
 
 
 def write_framed(path: str, magic: bytes, parts) -> None:
@@ -104,9 +118,9 @@ def read_framed(path: str, magic: bytes) -> "Reader":
 class Reader:
     """Bounds-checked cursor over the verified body ``raw[start:end]`` of a
     framed file. Fields are parsed in place: integers with a caller's
-    precompiled `struct.Struct`, arrays as one copy out of ``raw``, and a
-    section the caller does not keep is skipped after its length is
-    checked."""
+    precompiled `struct.Struct`, arrays as one copy out of ``raw`` (or a view
+    of it), and a section the caller does not keep is skipped after its
+    length is checked."""
 
     def __init__(self, raw: bytes, start: int, end: int, path: str):
         self._raw = raw
@@ -132,14 +146,18 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise HeaderError(f"{self._path}: {what} is not valid UTF-8") from exc
 
-    def array(self, dtype: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    def array(self, dtype: np.dtype, shape: tuple[int, ...], what: str, *,
+              copy: bool = True) -> np.ndarray:
+        """The next array, as a copy, or with ``copy=False`` as a read-only
+        view of the verified bytes, which it keeps alive."""
         count = math.prod(shape)
         off = self._take(count * dtype.itemsize, what)
         try:
             # an empty array may still declare dimensions NumPy cannot hold
-            return np.frombuffer(self._raw, dtype, count, off).reshape(shape).copy()
+            view = np.frombuffer(self._raw, dtype, count, off).reshape(shape)
         except ValueError as exc:
             raise HeaderError(f"{self._path}: {what} has impossible shape {shape}") from exc
+        return view.copy() if copy else view
 
     def skip(self, dtype: np.dtype, shape: tuple[int, ...], what: str) -> None:
         """Move past an array that `array` would read, checking only that the

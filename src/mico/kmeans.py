@@ -355,25 +355,27 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
 
 def subsample_pool(bags, cap: int, seed: int = 0) -> np.ndarray:
     """Uniform sample without replacement of up to ``cap`` instance rows
-    pooled across all bags; deterministic under ``seed``. Only the sampled
-    rows are copied, so memory is bounded by ``cap`` rows, not the pool."""
+    pooled across all bags; deterministic under ``seed``. Sizes come from
+    each bag's ``shape``. Each bag with sampled rows has its ``features``
+    read once, in bag order, and only those rows copied before the next, so
+    memory is bounded by ``cap`` rows and one bag, not the pool; a bag with
+    none is not read."""
     if not bags:
         raise DataError("subsample_pool: empty bag list")
     if cap < 1:
         raise ConfigError(f"subsample_pool: cap must be positive, got {cap}")
-    features = [np.asarray(b.features, dtype=np.float64) for b in bags]
-    widths = {f.shape[1] for f in features}
+    widths = {b.shape[1] for b in bags}
     if len(widths) > 1:
         raise DataError(f"subsample_pool: bags have feature widths {sorted(widths)}")
-    starts = np.cumsum([0] + [f.shape[0] for f in features])
+    starts = np.cumsum([0] + [b.shape[0] for b in bags])
     rng = np.random.default_rng(seed)
     n = int(starts[-1])
     take = min(cap, n)
     idx = rng.permutation(n)[:take]
     owner = np.searchsorted(starts, idx, side="right") - 1
     pool = np.empty((take, widths.pop()))
-    order, _, spans = _groups(owner, len(features))
+    order, _, spans = _groups(owner, len(bags))
     for b, start, end in spans:
         picked = order[start:end]
-        pool[picked] = features[b][idx[picked] - starts[b]]
+        pool[picked] = bags[b].features[idx[picked] - starts[b]]
     return pool

@@ -128,9 +128,8 @@ def _metric_names(task: str) -> list[str]:
 def _check_feature_dim(bags: list[FeatureBag], d: int, source: str) -> None:
     """Raise DataError naming the first bag whose dim is not ``source``'s ``d``."""
     for bag in bags:
-        if bag.features.shape[1] != d:
-            raise DataError(
-                f"bag {bag.bag_id!r} has dim {bag.features.shape[1]}, but {source} has dim {d}")
+        if bag.shape[1] != d:
+            raise DataError(f"bag {bag.bag_id!r} has dim {bag.shape[1]}, but {source} has dim {d}")
 
 
 def _check_task_labels(bags: list[FeatureBag], task: str, n_classes: int,
@@ -201,11 +200,12 @@ PACK_ELEMENTS = 1 << 14
 def _packs(bags: list[FeatureBag]):
     pack, size = [], 0
     for bag in bags:
-        if pack and size + bag.features.size > PACK_ELEMENTS:
+        m, d = bag.shape
+        if pack and size + m * d > PACK_ELEMENTS:
             yield pack
             pack, size = [], 0
         pack.append(bag)
-        size += bag.features.size
+        size += m * d
     if pack:
         yield pack
 
@@ -258,7 +258,7 @@ def train_fold(config: TrainConfig, fold_index: int,
     Every validation score is finite (a ratio of pair counts, or the 0.5
     stand-in), so epoch 1 always improves and the initial parameters are
     never the best state."""
-    d = train_bags[0].features.shape[1]
+    d = train_bags[0].shape[1]
     seeds = fold_seed.generate_state(3)
     init_rng = np.random.default_rng(int(seeds[0]))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
@@ -346,11 +346,13 @@ def train(config: TrainConfig, bags: list[FeatureBag], out_dir: str) -> RunRepor
     # every bag's id, so that make_folds rejects a repeated one
     folds = make_folds(sorted(b.bag_id for b in bags), n_folds=config.n_folds, seed=config.seed)
     by_id = {b.bag_id: b for b in bags}
-    _check_feature_dim(bags, bags[0].features.shape[1], f"the first bag {bags[0].bag_id!r}")
+    _check_feature_dim(bags, bags[0].shape[1], f"the first bag {bags[0].bag_id!r}")
     root_ss = np.random.SeedSequence(config.seed)
     fold_seeds = root_ss.spawn(config.n_folds)
 
     os.makedirs(out_dir, exist_ok=True)
+    # what a killed run's writes left; the names are this run's files only
+    framing.remove_temporaries(out_dir, r"fold\d+\.mico|report\.json")
     results: list[FoldResult] = []
     for i, (train_ids, val_ids, test_ids) in enumerate(folds):
         result, model, edges = train_fold(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mico import autodiff as ad, kmeans
-from mico.data import FeatureBag
+from mico import autodiff as ad, data, kmeans
+from mico.data import FeatureBag, StreamedBag, read_dataset, write_dataset
 from mico.errors import ConfigError, DataError
 from mico.losses import SubtypeLabel
 
@@ -678,6 +678,33 @@ def oracle_subsample_pool(bags, cap, seed=0):
     return pool[rng.permutation(pool.shape[0])[:min(cap, pool.shape[0])]]
 
 
+def features_up_front_subsample_pool(bags, cap, seed=0):
+    """The previous body of subsample_pool, which took every bag's features
+    up front, kept as the reference for the pool's bits."""
+    features = [np.asarray(b.features, dtype=np.float64) for b in bags]
+    starts = np.cumsum([0] + [f.shape[0] for f in features])
+    rng = np.random.default_rng(seed)
+    n = int(starts[-1])
+    take = min(cap, n)
+    idx = rng.permutation(n)[:take]
+    owner = np.searchsorted(starts, idx, side="right") - 1
+    pool = np.empty((take, features[0].shape[1]))
+    order, _, spans = kmeans._groups(owner, len(features))
+    for b, start, end in spans:
+        picked = order[start:end]
+        pool[picked] = features[b][idx[picked] - starts[b]]
+    return pool
+
+
+def streamed_bags(tmp_path, monkeypatch, bags):
+    """``bags`` written as a dataset and read back with none resident."""
+    write_dataset(bags, str(tmp_path))
+    monkeypatch.setattr(data, "RESIDENT_BYTES", 0)
+    got = read_dataset(str(tmp_path))
+    assert all(isinstance(b, StreamedBag) for b in got)
+    return got
+
+
 class TestSubsamplePool:
     @pytest.mark.parametrize("cap", [1, 7, 60, 139, 140, 1000])
     def test_equals_the_concatenated_pool(self, cap):
@@ -686,6 +713,45 @@ class TestSubsamplePool:
                            label=SubtypeLabel(0)) for i, m in enumerate([1, 30, 2, 57, 50])]
         assert np.array_equal(kmeans.subsample_pool(bags, cap, seed=11),
                               oracle_subsample_pool(bags, cap, seed=11))
+
+    @pytest.mark.parametrize("cap", [1, 7, 60, 1000])
+    @pytest.mark.parametrize("residency", ["resident", "streamed"])
+    def test_keeps_the_bits_of_taking_every_bag_up_front(self, tmp_path, monkeypatch,
+                                                         residency, cap):
+        rng = np.random.default_rng(6)
+        bags = [FeatureBag(bag_id=f"b{i}", features=rng.standard_normal((m, 5)),
+                           label=SubtypeLabel(0)) for i, m in enumerate([3, 30, 2, 57, 50, 9])]
+        if residency == "streamed":
+            bags = streamed_bags(tmp_path, monkeypatch, bags)
+        assert np.array_equal(kmeans.subsample_pool(bags, cap, seed=4),
+                              features_up_front_subsample_pool(bags, cap, seed=4))
+
+    def test_reads_each_sampled_bag_once_in_order_and_no_other(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        bags = streamed_bags(tmp_path, monkeypatch, make_bags(rng, 12, 20, 4))
+        reads = []
+        real = data.read_bag
+        monkeypatch.setattr(data, "read_bag", lambda path, **kw: reads.append(path) or
+                            real(path, **kw))
+        cap = 6
+        # the draw subsample_pool makes: 6 of 240 rows fall in at most 6 bags
+        owners = np.unique(np.random.default_rng(9).permutation(240)[:cap] // 20)
+        assert len(owners) < 12
+        kmeans.subsample_pool(bags, cap, seed=9)
+        assert reads == [bags[j].path for j in owners]
+
+    def test_streamed_bags_are_not_held_together(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        bags = streamed_bags(tmp_path, monkeypatch, make_bags(rng, 10, 500, 64))
+        tracemalloc.start()
+        try:
+            pool = kmeans.subsample_pool(bags, cap=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.shape == (100, 64)
+        # a re-read holds the file's bytes and the features' copy: two bags
+        assert peak < 3 * 500 * 64 * 8
 
     def test_memory_is_bounded_by_the_cap(self):
         bags = make_bags(np.random.default_rng(4), 20, 500, 64)

@@ -289,6 +289,20 @@ class TestArtifacts:
             on_disk = json.load(f)
         assert on_disk["mean"] == report.mean
 
+    def test_a_killed_writers_temporaries_are_removed_and_nothing_else(self, tmp_path):
+        # open_atomic names a temporary ".<target>.<12 hex digits>.tmp"
+        out = tmp_path / "run"
+        out.mkdir()
+        stale = [".fold0.mico.0123456789ab.tmp", ".fold7.mico.deadbeef0000.tmp",
+                 ".report.json.a1b2c3d4e5f6.tmp"]
+        kept = ["notes.tmp", ".fold0.mico.bak", ".fold0.mico.0123456789ab.tmp.bak",
+                ".fold0.mico.0123456789.tmp", ".sweep_table.txt.0123456789ab.tmp"]
+        for name in stale + kept:
+            (out / name).write_text("partial")
+        train(tiny_config(n_folds=2), small_bags(), out_dir=str(out))
+        assert sorted(os.listdir(out)) == sorted(kept + ["fold0.mico", "fold1.mico",
+                                                        "report.json"])
+
     def test_evaluate_checkpoint_matches_in_memory_eval(self, tmp_path):
         out = str(tmp_path / "run")
         bags = small_bags()

@@ -6,9 +6,10 @@ Writes the synthetic datasets and every run under OUT, which must not exist,
 then prints the SHA-256 of each file under OUT in sorted order (report.json
 with its wall clock masked), the metrics and the SHA-256 of the logits of 600
 bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
-of 80 survival bags, and the gradient check's errors. The mico on
-the import path is the one measured: two processes, or a change and its
-parent, under the same BLAS build and thread count, must print the same lines.
+of 80 survival bags, the passes and the SHA-256 of the centers of one K-means
+fit, and the gradient check's errors. The mico on the import path is the one
+measured: two processes, or a change and its parent, under the same BLAS
+build and thread count, must print the same lines.
 With --stream every dataset bag is read from its file at each use
 (``mico.data.RESIDENT_BYTES = 0``), which must not move a line either.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 import mico.data
+from mico import kmeans
 from mico.data import SynthConfig, generate, read_dataset, write_dataset
 from mico.losses import risk_score
 from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
@@ -98,5 +100,8 @@ model = _model_from_checkpoint(str(out / "accum" / "survival-2" / "fold0.mico"),
 risks = np.array([risk_score(z) for z in _outputs(model, survival)])
 print("survival", json.dumps(evaluate_model(model, survival), sort_keys=True), risks.shape,
       hashlib.sha256(risks.tobytes()).hexdigest())
+# a change to K-means's stop rule or passes shows here under its own name
+result = kmeans.fit(kmeans.subsample_pool(score, 4096, seed=0), 16, seed=0)
+print("kmeans", result.iterations_run, hashlib.sha256(result.centers.tobytes()).hexdigest())
 for task, pack in itertools.product(TASKS, (1, 3)):
     print("gradcheck", task, pack, repr(end_to_end_gradcheck(task, pack=pack)))

@@ -78,14 +78,20 @@ class FeatureBag:
     def n_instances(self) -> int:
         return self.shape[0]
 
+    def feature_view(self) -> np.ndarray:
+        """The features, to be read and not written: a `StreamedBag` gives a
+        view of its verified file bytes, with no copy of them."""
+        return self.features
+
 
 class StreamedBag(FeatureBag):
     """A dataset bag whose features stay in its file. It holds the header
     `read_dataset` checked: the id, the label and (M, d). Each read of
-    ``features`` reads the file again with ``read_bag(path,
-    metadata=False)``, which checks its CRC, and returns a fresh array; a
-    file whose id, shape or label changed raises HeaderError, and a missing
-    one DataError. It has no coords or type map."""
+    ``feature_view`` reads the file again with ``read_bag(path,
+    metadata=False, copy=False)``, which checks its CRC, and ``features``
+    returns a fresh copy of that view. A file whose id, shape or label
+    changed raises HeaderError, and a missing one DataError. It has no
+    coords or type map."""
 
     def __init__(self, path: str, header: FeatureBag):
         self.path = path
@@ -99,7 +105,10 @@ class StreamedBag(FeatureBag):
 
     @property
     def features(self) -> np.ndarray:
-        bag = read_bag(self.path, metadata=False)
+        return self.feature_view().copy()
+
+    def feature_view(self) -> np.ndarray:
+        bag = read_bag(self.path, metadata=False, copy=False)
         if (bag.bag_id, bag.shape, bag.label) != (self.bag_id, self._shape, self.label):
             raise HeaderError(f"{self.path}: bag {self.bag_id!r} changed since its dataset was "
                               f"read: now bag {bag.bag_id!r} of shape {bag.shape}, {bag.label}")

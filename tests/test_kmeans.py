@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,8 @@ from mico import autodiff as ad, data, kmeans
 from mico.data import FeatureBag, StreamedBag, read_dataset, write_dataset
 from mico.errors import ConfigError, DataError
 from mico.losses import SubtypeLabel
+from mico.train import train
+from test_acceptance import _dataset, _train_config
 
 # derandomized: the suite draws the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -134,10 +137,11 @@ def oracle_recenter(centers, points, assignments):
             centers[j] = points[mask].mean(axis=0)
 
 
-def oracle_fit(X, k, max_iters=100, tol=1e-6, seed=0, start=None, passes=None):
-    """``start``, if given, replaces the k-means++ centers; ``passes``, if
-    given, collects each pass's centers and assignments, the final pass's
-    too."""
+def oracle_fit(X, k, max_iters=100, tol=None, seed=0, start=None, passes=None):
+    """``tol`` defaults to ``kmeans.TOL`` at the call; ``start``, if given,
+    replaces the k-means++ centers; ``passes``, if given, collects each
+    pass's centers and assignments, the final pass's too."""
+    tol = kmeans.TOL if tol is None else tol
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     centers = oracle_plus_plus_seed(X, k, rng) if start is None else start.copy()
@@ -282,16 +286,19 @@ def long_fit_cases(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(long_fit_cases())
 def test_long_low_churn_fits_equal_the_per_center_lloyd_loop(case):
+    # the former tolerance, for both fits, keeps the long tails of passes
+    # that move few centers (hypothesis runs no function-scoped monkeypatch)
     X, k, seed, start = case
     passes = []
-    want = oracle_fit(X, k, seed=seed, start=start, passes=passes)
-    if start is None:
-        got = kmeans.fit(X, k, seed=seed)
-    else:
-        sizes = [np.bincount(a, minlength=k) for _, a in passes]
-        assert np.any((sizes[0] > 0) & (sizes[1] == 0))
-        with mock.patch.object(kmeans, "_plus_plus_seed", lambda *args: start.copy()):
+    with mock.patch.object(kmeans, "TOL", 1e-6):
+        want = oracle_fit(X, k, seed=seed, start=start, passes=passes)
+        if start is None:
             got = kmeans.fit(X, k, seed=seed)
+        else:
+            sizes = [np.bincount(a, minlength=k) for _, a in passes]
+            assert np.any((sizes[0] > 0) & (sizes[1] == 0))
+            with mock.patch.object(kmeans, "_plus_plus_seed", lambda *args: start.copy()):
+                got = kmeans.fit(X, k, seed=seed)
     assert_same_fit(got, want)
 
 
@@ -591,11 +598,10 @@ def spy_on_passes(monkeypatch, k):
 
 
 def test_each_pass_redoes_only_what_changed(monkeypatch):
-    # three overlapping blobs and twelve centers: the later passes move a
-    # few centers, and the last ones none
-    rng = np.random.default_rng(0)
-    X = np.concatenate([c + rng.standard_normal((500, 6)) for c in 2 * rng.standard_normal((3, 6))])
-    k = 12
+    # the later passes move a few centers, and the last ones none under the
+    # former tolerance
+    monkeypatch.setattr(kmeans, "TOL", 1e-6)
+    X, k = overlapping_blobs(), 12
     passes = []
     want = oracle_fit(X, k, seed=0, passes=passes)
     work = spy_on_passes(monkeypatch, k)
@@ -610,6 +616,55 @@ def test_each_pass_redoes_only_what_changed(monkeypatch):
     for p in same:
         if p + 1 < len(work):
             assert work[p + 1] == [None, [0] * k]
+
+
+def overlapping_blobs():
+    """Three overlapping blobs of 500 rows, d = 6: fits of twelve centers
+    run long tails of passes that move a few of them."""
+    rng = np.random.default_rng(0)
+    return np.concatenate([c + rng.standard_normal((500, 6))
+                           for c in 2 * rng.standard_normal((3, 6))])
+
+
+def test_fit_stops_at_the_first_pass_that_gains_less_than_tol():
+    X, k = overlapping_blobs(), 12
+    got = kmeans.fit(X, k, seed=0)
+    h = got.inertia_history
+    gains = [(before - after) / before for before, after in zip(h, h[1:])]
+    assert got.iterations_run == len(h) < kmeans.MAX_ITERS
+    assert min(gains[:-1]) >= kmeans.TOL > gains[-1]
+    assert_same_fit(got, oracle_fit(X, k, seed=0))
+    # the former tolerance runs on past that pass
+    assert oracle_fit(X, k, tol=1e-6, seed=0).iterations_run > got.iterations_run
+
+
+def final_inertia(X, result):
+    diff = X - result.centers[result.assignments]
+    return float(np.einsum("nd,nd->", diff, diff))
+
+
+@pytest.mark.parametrize("task", ["subtype", "survival"])
+def test_stopping_at_tol_costs_under_a_thousandth_of_the_inertia_on_acceptance_pools(
+        task, tmp_path, monkeypatch):
+    # the pools that training on the acceptance datasets clusters, one per
+    # fold, against fits with TOL = 0, which stop only after MAX_ITERS
+    # passes or at a pass that raises the inertia
+    pools = []
+    fit = kmeans.fit
+
+    def spy(pool, k, seed=0):
+        pools.append((pool, k, seed))
+        return fit(pool, k, seed=seed)
+
+    monkeypatch.setattr(kmeans, "fit", spy)
+    train(replace(_train_config(task), epochs=1), _dataset(task), out_dir=str(tmp_path))
+    monkeypatch.undo()
+    assert len(pools) == 4
+    for pool, k, seed in pools:
+        got = kmeans.fit(pool, k, seed=seed)
+        with mock.patch.object(kmeans, "TOL", 0.0):
+            full = kmeans.fit(pool, k, seed=seed)
+        assert final_inertia(pool, got) <= 1.001 * final_inertia(pool, full)
 
 
 def test_the_repair_leaves_no_stale_distance(monkeypatch):
@@ -740,6 +795,23 @@ class TestSubsamplePool:
         kmeans.subsample_pool(bags, cap, seed=9)
         assert reads == [bags[j].path for j in owners]
 
+    def test_streamed_rows_come_from_a_view_of_the_file(self, tmp_path, monkeypatch):
+        bags = streamed_bags(tmp_path, monkeypatch, make_bags(np.random.default_rng(4), 10, 500, 64))
+        calls = []
+        real = data.read_bag
+        monkeypatch.setattr(data, "read_bag", lambda path, **kw: calls.append(kw) or
+                            real(path, **kw))
+        tracemalloc.start()
+        try:
+            kmeans.subsample_pool(bags, cap=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [{"metadata": False, "copy": False}] * 10
+        # one bag's file bytes and the pool; a copy of the features would
+        # hold a second bag beside them
+        assert peak < 2 * 500 * 64 * 8
+
     def test_streamed_bags_are_not_held_together(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         bags = streamed_bags(tmp_path, monkeypatch, make_bags(rng, 10, 500, 64))
@@ -750,7 +822,7 @@ class TestSubsamplePool:
         finally:
             tracemalloc.stop()
         assert pool.shape == (100, 64)
-        # a re-read holds the file's bytes and the features' copy: two bags
+        # a re-read holds the file's bytes, whose view gives the rows
         assert peak < 3 * 500 * 64 * 8
 
     def test_memory_is_bounded_by_the_cap(self):

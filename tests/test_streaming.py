@@ -113,6 +113,22 @@ class TestReRead:
         assert first is not again and np.array_equal(first, again)
         assert first.flags.writeable and first.flags.c_contiguous
 
+    def test_a_view_reads_the_file_once_with_no_copy_and_the_same_checks(self, streamed,
+                                                                         monkeypatch):
+        path, bags = streamed
+        calls = []
+        real = data.read_bag
+        monkeypatch.setattr(data, "read_bag", lambda p, **kw: calls.append(kw) or real(p, **kw))
+        view = bags[1].feature_view()
+        assert calls == [{"metadata": False, "copy": False}]
+        assert not view.flags.writeable and np.array_equal(view, bags[1].features)
+        with open(os.path.join(path, "bag0002.mbag"), "rb") as f:
+            other = f.read()
+        with open(os.path.join(path, "bag0001.mbag"), "wb") as f:
+            f.write(other)
+        with pytest.raises(HeaderError, match="bag 'bag0001' changed since its dataset was read"):
+            bags[1].feature_view()
+
     def test_a_flipped_byte_fails_the_crc(self, streamed):
         path, bags = streamed
         flip_a_feature_byte(os.path.join(path, "bag0001.mbag"))

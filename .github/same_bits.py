@@ -6,10 +6,10 @@ Writes the synthetic datasets and every run under OUT, which must not exist,
 then prints the SHA-256 of each file under OUT in sorted order (report.json
 with its wall clock masked), the metrics and the SHA-256 of the logits of 600
 bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
-of 80 survival bags, the passes and the SHA-256 of the centers of one K-means
-fit, and the gradient check's errors. The mico on the import path is the one
-measured: two processes, or a change and its parent, under the same BLAS
-build and thread count, must print the same lines.
+of 80 survival bags, the passes and the SHA-256 of the centers of three
+K-means fits, and the gradient check's errors. The mico on the import path
+is the one measured: two processes, or a change and its parent, under the
+same BLAS build and thread count, must print the same lines.
 With --stream every dataset bag is read from its file at each use
 (``mico.data.RESIDENT_BYTES = 0``), which must not move a line either.
 """
@@ -100,8 +100,20 @@ model = _model_from_checkpoint(str(out / "accum" / "survival-2" / "fold0.mico"),
 risks = np.array([risk_score(z) for z in _outputs(model, survival)])
 print("survival", json.dumps(evaluate_model(model, survival), sort_keys=True), risks.shape,
       hashlib.sha256(risks.tobytes()).hexdigest())
-# a change to K-means's stop rule or passes shows here under its own name
-result = kmeans.fit(kmeans.subsample_pool(score, 4096, seed=0), 16, seed=0)
-print("kmeans", result.iterations_run, hashlib.sha256(result.centers.tobytes()).hexdigest())
+# a change to K-means's stop rule or passes shows here under its own name:
+# the 600-bag pool, under the stop rule and under the former 1e-6 rule, whose
+# long tails of passes move few centers, and a pool of slide-sized bags
+pool = kmeans.subsample_pool(score, 4096, seed=0)
+slides = generate(SynthConfig(n_bags=3, d=512, seed=4, task="subtype", m_range=(1024, 1024)))
+fits = [kmeans.fit(pool, 16, seed=0)]
+tol = kmeans.TOL
+try:
+    kmeans.TOL = 1e-6
+    fits.append(kmeans.fit(pool, 16, seed=0))
+finally:
+    kmeans.TOL = tol
+fits.append(kmeans.fit(kmeans.subsample_pool(slides, 2048, seed=0), 64, seed=0))
+for result in fits:
+    print("kmeans", result.iterations_run, hashlib.sha256(result.centers.tobytes()).hexdigest())
 for task, pack in itertools.product(TASKS, (1, 3)):
     print("gradcheck", task, pack, repr(end_to_end_gradcheck(task, pack=pack)))

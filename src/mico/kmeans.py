@@ -5,8 +5,9 @@ matmul form ‖x‖² − 2·x·c + ‖c‖², and keep one only where a roundin
 bound (``_matmul_form_err``) proves that the per-center loop over ‖x − c‖²
 gives the same result; every other row takes the loop's exact values. So
 each output has the loop's bits, whatever the BLAS summation order. Each
-Lloyd pass redoes only the work whose inputs changed since the pass before
-(``_lloyd_pass``), so it too keeps the bits.
+Lloyd pass is a full certified assignment plus one gather of each
+cluster's rows (``_lloyd_pass``); a pass whose centers have the bits of
+the pass before's is that pass again, so ``fit`` reuses it.
 """
 
 from __future__ import annotations
@@ -159,45 +160,14 @@ def _plus_plus_seed(points: np.ndarray, point_sq_norms: np.ndarray, point_roots:
     return centers
 
 
-class _Lloyd:
-    """What one Lloyd pass over fixed ``points`` leaves for the next.
+def _assign(points: np.ndarray, point_sq_norms: np.ndarray, point_roots: np.ndarray,
+            centers: np.ndarray) -> np.ndarray:
+    """The argmin over centers of ``_sq_dists(points, centers)``, exactly.
 
-    ``centers`` are the centers the next pass assigns rows to, and ``moved``
-    flags those whose bits differ from the last pass's: all of them before
-    the first pass, which is an ordinary pass with everything stale. After
-    a pass, ``labels`` holds each row's center, ``sizes`` each center's row
-    count, ``means`` each center's new place (the mean of its rows; a center
-    with no rows keeps its place), ``point_d2`` each row's squared distance
-    to its center, with the bits of its ``_sq_dists`` entry, and ``dist``
-    and ``held`` the matmul-form distances to ``centers`` (``_assign``).
-    """
-
-    def __init__(self, points: np.ndarray, point_sq_norms: np.ndarray,
-                 point_roots: np.ndarray, centers: np.ndarray):
-        n, k = points.shape[0], centers.shape[0]
-        self.points, self.point_sq_norms, self.point_roots = points, point_sq_norms, point_roots
-        self.centers = centers
-        self.moved = np.ones(k, dtype=bool)
-        self.dist = np.empty((k, n))
-        self.held = np.arange(k)
-        self.labels = np.full(n, k, dtype=np.intp)  # label k: no pass has placed the row
-        self.sizes = np.zeros(k, dtype=np.intp)
-        self.means = np.empty_like(centers)
-        self.point_d2 = np.empty(n)
-
-
-def _assign(s: _Lloyd) -> np.ndarray:
-    """The argmin over centers of ``_sq_dists(s.points, s.centers)``, exactly.
-
-    Row r of the (k, n) block ``s.dist`` holds the matmul-form distances
-    ‖x‖² − 2·c·x + ‖c‖² to center ``s.held[r]``. Only the rows of the m
-    centers flagged in ``s.moved`` are refilled: the kept centers' rows
-    among the last m are first copied up into the moved centers' rows, and
-    the last m rows then take the moved centers, filled by one matmul
-    written straight into the block. Each entry is within E of the loop's
-    (``_matmul_form_err``, with S = ‖x‖ + max‖c‖ over the current
-    centers), whichever matmul call and summation order gave it, and
-    nothing below depends on the order of the rows.
+    One matmul fills the (k, n) block ``dist`` with the matmul-form
+    distances ‖x‖² − 2·c·x + ‖c‖², each within E of the loop's
+    (``_matmul_form_err``, with S = ‖x‖ + max‖c‖ over the centers),
+    whatever the BLAS summation order.
 
     A row is certified when exactly one center lies within 2E of the row's
     minimum ``best``: dist ≤ fl(best + 2E). That center is the minimum's.
@@ -210,31 +180,21 @@ def _assign(s: _Lloyd) -> np.ndarray:
     would fall on, and any row whose bound is not finite (an overflowing
     norm or cross term, or a NaN, which ``np.minimum`` passes on).
     """
-    points, centers, dist, held = s.points, s.centers, s.dist, s.held
-    n, d = points.shape
+    d = points.shape[1]
     k = centers.shape[0]
-    moved = np.flatnonzero(s.moved)
-    tail = k - len(moved)
-    stale = s.moved[held]
-    for dst, src in zip(np.flatnonzero(stale[:tail]).tolist(),
-                        (tail + np.flatnonzero(~stale[tail:])).tolist()):
-        dist[dst] = dist[src]
-        held[dst] = held[src]
-    held[tail:] = moved
     center_sq_norms = _row_sq_norms(centers)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = dist[tail:]
-        np.matmul(centers[moved] * -2.0, points.T, out=rows)
-        rows += s.point_sq_norms
-        rows += center_sq_norms[moved, None]
+        dist = np.matmul(centers * -2.0, points.T)
+        dist += point_sq_norms
+        dist += center_sq_norms[:, None]
         bound = np.minimum.reduce(dist, axis=0)
-        bound += 2 * _matmul_form_err(s.point_roots, center_sq_norms.max(), d)
+        bound += 2 * _matmul_form_err(point_roots, center_sq_norms.max(), d)
         near = (dist <= bound).view(np.uint8)
     # counts and indices fit the narrowest unsigned type that holds k
     key = np.min_scalar_type(k)
     count = np.add.reduce(near, axis=0, dtype=key)
     # a certified row's one near center; other rows are overwritten below
-    best = np.einsum("k,kn->n", held.astype(key), near).astype(np.intp)
+    best = np.einsum("k,kn->n", np.arange(k, dtype=key), near).astype(np.intp)
     open_rows = np.flatnonzero((count != 1) | ~np.isfinite(bound))
     # a block of open rows at a time, so even a pool of near-ties holds no
     # (n, d) copy; each row's distances are the same in any block
@@ -244,57 +204,39 @@ def _assign(s: _Lloyd) -> np.ndarray:
     return best
 
 
-def _lloyd_pass(s: _Lloyd) -> None:
-    """One Lloyd pass that redoes only what changed since the last.
+def _lloyd_pass(points: np.ndarray, point_sq_norms: np.ndarray, point_roots: np.ndarray,
+                centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One Lloyd pass: each row's center (``_assign``), each center's mean
+    of its rows (a center with no rows keeps its place), each center's row
+    count, and each row's squared distance to its center, with the bits of
+    its ``_sq_dists`` entry.
 
-    Assignment: the certified argmin depends on the points and the centers'
-    bits alone, so when no center moved, every row keeps its label;
-    otherwise ``_assign`` refills only the moved centers' rows of ``dist``.
-
-    Update: a center whose rows are the same as in the last pass keeps its
-    mean, which was the same reduction over the same rows, and a row keeps
-    its distance when neither its center's rows nor its center's bits
-    changed. The rows of every other center are gathered one center at a
-    time, in index order, into one buffer the size of the largest such
-    cluster, so no copy of all n rows is made. Each block has the contents
-    and layout of ``points[labels == j]``: ``np.add.reduce`` over it and a
-    division by its count give ``block.mean(axis=0)``'s bits. The block is
-    then shifted in place by its center, and one ``einsum`` gives each of
-    its rows the bits of its ``_sq_dists`` entry.
+    The rows of each center are gathered in index order into one buffer the
+    size of the largest cluster, so no copy of all n rows is made. Each
+    block has the contents and layout of ``points[labels == j]``:
+    ``np.add.reduce`` over it and a division by its count give
+    ``block.mean(axis=0)``'s bits. The block is then shifted in place by its
+    center, and one ``einsum`` gives each of its rows its distance.
     """
-    k = s.centers.shape[0]
-    labels = s.labels
-    if s.moved.any():
-        labels = _assign(s)
-    left = labels != s.labels
-    # before the first pass every row holds label k, which falls off the end
-    regrouped = np.zeros(k + 1, dtype=bool)
-    regrouped[s.labels[left]] = True
-    regrouped[labels[left]] = True
-    regrouped = regrouped[:k]
-    stale = regrouped | s.moved
-    rows = np.flatnonzero(stale[labels])
-    order, sizes, spans = _groups(labels[rows], k)
-    rows = rows[order]
-    buffer = np.empty((sizes.max(), s.points.shape[1]))
-    d2 = np.empty(len(rows))
+    labels = _assign(points, point_sq_norms, point_roots, centers)
+    order, sizes, spans = _groups(labels, centers.shape[0])
+    buffer = np.empty((sizes.max(), points.shape[1]))
+    means = centers.copy()
+    d2 = np.empty(len(labels))
     # an overflowing sum or distance raises DataError in fit's loop
     with np.errstate(over="ignore"):
         for j, start, end in spans:
             block = buffer[:end - start]
             # mode="clip" writes straight into the block; "raise" would buffer
-            np.take(s.points, rows[start:end], axis=0, out=block, mode="clip")
-            if regrouped[j]:
-                np.add.reduce(block, axis=0, out=s.means[j])
-            block -= s.centers[j]
+            np.take(points, order[start:end], axis=0, out=block, mode="clip")
+            np.add.reduce(block, axis=0, out=means[j])
+            block -= centers[j]
             np.einsum("nd,nd->n", block, block, out=d2[start:end])
-    s.point_d2[rows] = d2
-    s.sizes[stale] = sizes[stale]
-    fresh = regrouped & (s.sizes > 0)
-    s.means[fresh] /= s.sizes[fresh, None]
-    empty = s.sizes == 0
-    s.means[empty] = s.centers[empty]
-    s.labels = labels
+    filled = sizes > 0
+    means[filled] /= sizes[filled, None]
+    point_d2 = np.empty_like(d2)
+    point_d2[order] = d2
+    return labels, means, sizes, point_d2
 
 
 def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
@@ -304,9 +246,12 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     ``TOL`` of the pass before's, or after ``MAX_ITERS`` passes. Empty
     clusters are re-seeded to the point currently farthest from its
     assigned center, so exactly ``k`` centers always survive. Features
-    whose squared distances overflow raise DataError. Temporaries are the
-    (k, n) distance block, a few (n,) vectors and one cluster's rows, never
-    an (n, d) copy of the instances.
+    whose squared distances overflow raise DataError. Each pass is a full
+    certified assignment (``_assign``) plus one gather per cluster
+    (``_lloyd_pass``); a pass whose repaired means equal its centers bit for
+    bit is settled, and the passes after it, the final one too, reuse it.
+    Temporaries are the (k, n) distance block, a few (n,) vectors and the
+    largest cluster's rows, never an (n, d) copy of the instances.
     """
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -320,29 +265,32 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     rng = np.random.default_rng(seed)
     x_sq_norms = _row_sq_norms(X)
     x_roots = _point_roots(x_sq_norms, X.shape[1])
-    s = _Lloyd(X, x_sq_norms, x_roots, _plus_plus_seed(X, x_sq_norms, x_roots, k, rng))
+    centers = _plus_plus_seed(X, x_sq_norms, x_roots, k, rng)
     history: list[float] = []
     iters = 0
+    settled = False
 
     for iters in range(1, MAX_ITERS + 1):
-        _lloyd_pass(s)
-        inertia = float(s.point_d2.sum())
+        # a pass over centers with the bits of the last pass's repeats it
+        if not settled:
+            labels, means, sizes, point_d2 = _lloyd_pass(X, x_sq_norms, x_roots, centers)
+        inertia = float(point_d2.sum())
         if not np.isfinite(inertia):
             raise DataError(_OVERFLOW)
         history.append(inertia)
 
-        # repair empty clusters with the globally worst-fit point; the zeros
-        # go into a copy, since the next pass may keep the distances
-        centers = s.means.copy()
-        empty = np.flatnonzero(s.sizes == 0)
+        # repair empty clusters with the globally worst-fit point; the
+        # repair works on copies, since a settled pass is reused
+        repaired = means.copy()
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
-            point_d2 = s.point_d2.copy()
+            far_d2 = point_d2.copy()
             for j in empty:
-                far = int(np.argmax(point_d2))
-                centers[j] = X[far]
-                point_d2[far] = 0.0
-        s.moved = (centers.view(np.uint64) != s.centers.view(np.uint64)).any(axis=1)
-        s.centers = centers
+                far = int(np.argmax(far_d2))
+                repaired[j] = X[far]
+                far_d2[far] = 0.0
+        settled = bool((repaired.view(np.uint64) == centers.view(np.uint64)).all())
+        centers = repaired
 
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
@@ -351,8 +299,9 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
 
     # final pass so that every returned center is exactly the mean of its
     # assigned points (clusters left empty by the last update keep their center)
-    _lloyd_pass(s)
-    return KMeansResult(centers=s.means, assignments=s.labels,
+    if not settled:
+        labels, means, _, _ = _lloyd_pass(X, x_sq_norms, x_roots, centers)
+    return KMeansResult(centers=means, assignments=labels,
                         inertia_history=history, iterations_run=iters)
 
 

@@ -309,8 +309,8 @@ def norms_and_roots(X):
 
 
 def certified_argmin(X, C):
-    """``kmeans._assign`` with every center's row of the block filled."""
-    return kmeans._assign(kmeans._Lloyd(X, *norms_and_roots(X), C))
+    """``kmeans._assign`` with the per-fit point terms."""
+    return kmeans._assign(X, *norms_and_roots(X), C)
 
 
 def assert_same_seeding(X, k, seed):
@@ -455,8 +455,9 @@ class TestCertifiedSeeding:
 def test_fit_temporaries_stay_within_a_quarter_over_the_distance_block_and_one_cluster(
         monkeypatch, n, k, d):
     # the (k, n) distance block, the rows of the largest cluster one pass
-    # gathers, and the centers and their means; measured at 1.17-1.19 times
-    # that, where a gather of every row (4.1 times at d = 512) fails
+    # gathers, and the centers and their means; measured at 1.16 times that
+    # at d = 32 and 0.84 at d = 512, where a gather of every row (4.1 times
+    # at d = 512) fails
     largest = []
     groups = kmeans._groups
 
@@ -545,79 +546,6 @@ class TestCertifiedAssignment:
         assert np.all(got % 2 == 0)
 
 
-def expected_work(passes, k):
-    """Per pass of ``oracle_fit(passes=...)``: the centers whose bits moved
-    since the pass before (None when none did: the pass has no assignment
-    to redo), and per center the rows a pass must gather, which are those
-    of each center that moved or whose rows changed."""
-    work, before = [], None
-    for centers, labels in passes:
-        sizes = np.bincount(labels, minlength=k)
-        if before is None:
-            moved = np.ones(k, dtype=bool)
-            regrouped = sizes > 0
-        else:
-            moved = (centers.view(np.uint64) != before[0].view(np.uint64)).any(axis=1)
-            left = labels != before[1]
-            regrouped = np.zeros(k, dtype=bool)
-            regrouped[labels[left]] = regrouped[before[1][left]] = True
-        work.append((np.flatnonzero(moved).tolist() if moved.any() else None,
-                     np.where(moved | regrouped, sizes, 0).tolist()))
-        before = centers, labels
-    return work
-
-
-def spy_on_passes(monkeypatch, k):
-    """Per ``_lloyd_pass`` call: the centers whose rows of the distance
-    block ``_assign`` rewrote (None without an ``_assign`` call), and per
-    center the rows gathered."""
-    work = []
-    lloyd_pass, assign, groups = kmeans._lloyd_pass, kmeans._assign, kmeans._groups
-
-    def counted_pass(s):
-        work.append([None, [0] * k])
-        return lloyd_pass(s)
-
-    def counted_assign(s):
-        dist, held = s.dist.copy(), s.held.copy()
-        labels = assign(s)
-        before = dist[np.argsort(held)].view(np.uint64)  # center j's row at row j
-        after = s.dist[np.argsort(s.held)].view(np.uint64)
-        changed = (before != after).any(axis=1)
-        work[-1][0] = np.flatnonzero(changed).tolist()
-        return labels
-
-    def counted_groups(labels, count):
-        work[-1][1][:] = np.bincount(labels, minlength=count).tolist()
-        return groups(labels, count)
-
-    monkeypatch.setattr(kmeans, "_lloyd_pass", counted_pass)
-    monkeypatch.setattr(kmeans, "_assign", counted_assign)
-    monkeypatch.setattr(kmeans, "_groups", counted_groups)
-    return work
-
-
-def test_each_pass_redoes_only_what_changed(monkeypatch):
-    # the later passes move a few centers, and the last ones none under the
-    # former tolerance
-    monkeypatch.setattr(kmeans, "TOL", 1e-6)
-    X, k = overlapping_blobs(), 12
-    passes = []
-    want = oracle_fit(X, k, seed=0, passes=passes)
-    work = spy_on_passes(monkeypatch, k)
-    assert_same_fit(kmeans.fit(X, k, seed=0), want)
-    assert [tuple(w) for w in work] == expected_work(passes, k)
-    moved = [len(centers or ()) for centers, _ in work]
-    assert moved[0] == k and 0 < min(moved[1:-3]) and max(moved[-6:-3]) < k // 2
-    # a pass that changes no row leaves the same centers: the pass after it
-    # runs no matmul and gathers nothing
-    same = [p for p in range(1, len(passes)) if np.array_equal(passes[p][1], passes[p - 1][1])]
-    assert same and same[0] + 1 < len(work)
-    for p in same:
-        if p + 1 < len(work):
-            assert work[p + 1] == [None, [0] * k]
-
-
 def overlapping_blobs():
     """Three overlapping blobs of 500 rows, d = 6: fits of twelve centers
     run long tails of passes that move a few of them."""
@@ -643,53 +571,101 @@ def final_inertia(X, result):
     return float(np.einsum("nd,nd->", diff, diff))
 
 
-@pytest.mark.parametrize("task", ["subtype", "survival"])
-def test_stopping_at_tol_costs_under_a_thousandth_of_the_inertia_on_acceptance_pools(
-        task, tmp_path, monkeypatch):
-    # the pools that training on the acceptance datasets clusters, one per
-    # fold, against fits with TOL = 0, which stop only after MAX_ITERS
-    # passes or at a pass that raises the inertia
-    pools = []
+@pytest.fixture(scope="module", params=["subtype", "survival"])
+def acceptance_pools(request, tmp_path_factory):
+    """(pool, k, seed) of each fit that training on the task's acceptance
+    dataset runs, one per fold."""
+    task, pools = request.param, []
     fit = kmeans.fit
 
     def spy(pool, k, seed=0):
         pools.append((pool, k, seed))
         return fit(pool, k, seed=seed)
 
-    monkeypatch.setattr(kmeans, "fit", spy)
-    train(replace(_train_config(task), epochs=1), _dataset(task), out_dir=str(tmp_path))
-    monkeypatch.undo()
+    with mock.patch.object(kmeans, "fit", spy):
+        train(replace(_train_config(task), epochs=1), _dataset(task),
+              out_dir=str(tmp_path_factory.mktemp(task)))
     assert len(pools) == 4
-    for pool, k, seed in pools:
+    return pools
+
+
+def test_stopping_at_tol_costs_under_a_thousandth_of_the_inertia_on_acceptance_pools(
+        acceptance_pools):
+    # against fits with TOL = 0, which stop only after MAX_ITERS passes or at
+    # a pass that raises the inertia
+    for pool, k, seed in acceptance_pools:
         got = kmeans.fit(pool, k, seed=seed)
         with mock.patch.object(kmeans, "TOL", 0.0):
             full = kmeans.fit(pool, k, seed=seed)
         assert final_inertia(pool, got) <= 1.001 * final_inertia(pool, full)
 
 
-def test_the_repair_leaves_no_stale_distance(monkeypatch):
-    # each pass starts with every row's exact distance to the last pass's
-    # centers, also after a pass that re-seeded an emptied cluster
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((400, 3))
-    start = emptying_start(rng, X, 6)
-    passes, used = [], []
-    oracle_fit(X, 6, start=start, passes=passes)
-    sizes = [np.bincount(a, minlength=6) for _, a in passes]
-    assert np.any((sizes[0] > 0) & (sizes[1] == 0))
+def record_pass_centers(monkeypatch):
+    """The list that each ``_lloyd_pass`` call appends its centers to."""
+    calls = []
     lloyd_pass = kmeans._lloyd_pass
 
-    def checked(s):
-        if used:
-            exact = oracle_sq_dists(X, used[-1])[np.arange(len(X)), s.labels]
-            assert np.array_equal(s.point_d2.view(np.uint64), exact.view(np.uint64))
-        lloyd_pass(s)
-        used.append(s.centers)
+    def spy(points, point_sq_norms, point_roots, centers):
+        calls.append(centers.copy())
+        return lloyd_pass(points, point_sq_norms, point_roots, centers)
 
-    monkeypatch.setattr(kmeans, "_lloyd_pass", checked)
-    monkeypatch.setattr(kmeans, "_plus_plus_seed", lambda *args: start.copy())
-    kmeans.fit(X, 6)
-    assert len(used) == len(passes)
+    monkeypatch.setattr(kmeans, "_lloyd_pass", spy)
+    return calls
+
+
+def changed_centers(passes):
+    """The centers of each pass of ``oracle_fit(passes=...)``, the final
+    one's too, whose bits differ from the pass before's: a pass over the
+    same centers repeats that pass."""
+    return [c for p, (c, _) in enumerate(passes)
+            if p == 0 or not np.array_equal(c.view(np.uint64), passes[p - 1][0].view(np.uint64))]
+
+
+def assert_same_centers(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("case,settles", [("tol", False), ("former-tol", True),
+                                          ("empties", False)])
+def test_a_pass_runs_only_when_its_centers_changed(case, settles, monkeypatch):
+    # a fit that settles under the former tolerance reuses its settled pass,
+    # for the pass after it and the final pass; the others run every pass
+    if case == "empties":
+        rng = np.random.default_rng(5)
+        X, k = rng.standard_normal((400, 3)), 6
+        start = emptying_start(rng, X, k)
+        monkeypatch.setattr(kmeans, "_plus_plus_seed", lambda *args: start.copy())
+    else:
+        X, k, start = overlapping_blobs(), 12, None
+    if case == "former-tol":
+        monkeypatch.setattr(kmeans, "TOL", 1e-6)
+    passes = []
+    want = oracle_fit(X, k, seed=0, start=start, passes=passes)
+    if case == "empties":
+        sizes = [np.bincount(a, minlength=k) for _, a in passes]
+        assert np.any((sizes[0] > 0) & (sizes[1] == 0))
+    calls = record_pass_centers(monkeypatch)
+    assert_same_fit(kmeans.fit(X, k, seed=0), want)
+    assert_same_centers(calls, changed_centers(passes))
+    assert (len(calls) < len(passes)) == settles
+
+
+def test_a_fit_under_tol_0_makes_no_pass_after_its_fixed_point(acceptance_pools, monkeypatch):
+    # TOL = 0 ends a fit only at a pass that raises the inertia, so these run
+    # all MAX_ITERS passes, though each pool settles long before
+    monkeypatch.setattr(kmeans, "TOL", 0.0)
+    calls = record_pass_centers(monkeypatch)
+    for pool, k, seed in acceptance_pools:
+        passes = []
+        want = oracle_fit(pool, k, seed=seed, passes=passes)
+        calls.clear()
+        got = kmeans.fit(pool, k, seed=seed)
+        assert_same_fit(got, want)
+        assert got.iterations_run == kmeans.MAX_ITERS
+        assert_same_centers(calls, changed_centers(passes))
+        assert len(calls) < kmeans.MAX_ITERS
 
 
 def sq_dists_3d(points, centers):

@@ -7,7 +7,8 @@ then prints the SHA-256 of each file under OUT in sorted order (report.json
 with its wall clock masked), the metrics and the SHA-256 of the logits of 600
 bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
 of 80 survival bags, the passes and the SHA-256 of the centers of three
-K-means fits, and the gradient check's errors. The mico on the import path
+K-means fits, the SHA-256 of one slide-size training step and the gradient
+check's errors. The mico on the import path
 is the one measured: two processes, or a change and its parent, under the
 same BLAS build and thread count, must print the same lines.
 With --stream every dataset bag is read from its file at each use
@@ -24,10 +25,12 @@ from pathlib import Path
 import numpy as np
 
 import mico.data
+from mico import autodiff as ad
 from mico import kmeans
-from mico.data import SynthConfig, generate, read_dataset, write_dataset
-from mico.losses import risk_score
-from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
+from mico.data import FeatureBag, SynthConfig, generate, read_dataset, write_dataset
+from mico.losses import SubtypeLabel, risk_score
+from mico.model import MicoConfig, MicoModel
+from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, _pack_loss, ablate,
                         end_to_end_gradcheck, evaluate_model, sweep_anchors, train)
 
 parser = argparse.ArgumentParser()
@@ -115,5 +118,22 @@ finally:
 fits.append(kmeans.fit(kmeans.subsample_pool(slides, 2048, seed=0), 64, seed=0))
 for result in fits:
     print("kmeans", result.iterations_run, hashlib.sha256(result.centers.tobytes()).hexdigest())
+# one training step of a slide-size pack of one (M = 1024, d = 512, K = 64,
+# L = 3, gated attention), whose backward writes over the arrays it spends:
+# the loss, every parameter's gradient and the parameters after the step
+rng = np.random.default_rng(0)
+model = MicoModel(MicoConfig(d=512, anchors=64, layers=3, task="subtype"), rng=rng)
+opt = ad.Adam(model.trainable_params(), lr=1e-3)
+slide = FeatureBag(bag_id="slide", features=rng.standard_normal((1024, 512)),
+                   label=SubtypeLabel(class_index=1))
+loss = _pack_loss(model, [slide], None)[0]
+digest = hashlib.sha256(loss.data.tobytes())
+ad.backward(loss)
+for p in opt.params.values():
+    digest.update(p.grad.tobytes())
+opt.step()
+for p in model.params.values():
+    digest.update(p.data.tobytes())
+print("slide-step", digest.hexdigest())
 for task, pack in itertools.product(TASKS, (1, 3)):
     print("gradcheck", task, pack, repr(end_to_end_gradcheck(task, pack=pack)))

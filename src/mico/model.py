@@ -255,12 +255,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """gelu(x), with the bits of ``_gelu(x)``, and g *= d gelu / dx in place,
-    where d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2) for the
-    one tanh t."""
-    act = np.empty_like(x)
-    for s, (t, rest) in ad.blocks(x.shape, 2):
-        xb, u = x[s], act[s]
+    """g *= d gelu / dx in place, where d gelu / dx = 0.5 (1 + t) + 0.5 x
+    (1 - t^2) c (1 + 3a x^2) for the one tanh t, and gelu(x), with the bits
+    of ``_gelu(x)``, written over x, which is read here for the last time."""
+    for s, (t, rest, u) in ad.blocks(x.shape, 3):
+        xb = x[s]
         _gelu_tanh(xb, t)
         np.multiply(xb, 0.5, out=rest)
         np.multiply(t, t, out=u)
@@ -272,12 +271,12 @@ def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         u *= _GELU_C
         rest *= u
         t += 1.0
-        np.multiply(t, xb, out=u)
-        u *= 0.5
+        np.multiply(t, xb, out=xb)
+        xb *= 0.5
         t *= 0.5
         t += rest
         g[s] *= t
-    return act
+    return x
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -296,68 +295,65 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tanh_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """g b (1 - a^2) as a fresh array: the gradient into tanh's argument of
-    the gate product a b, with a = tanh(.)."""
-    out = np.empty_like(g)
-    for s, (slope,) in ad.blocks(g.shape, 1):
-        o = out[s]
-        np.multiply(a[s], a[s], out=slope)
+def _gate_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """The gradients into tanh's and sigmoid's arguments of the gate product
+    a b, with a = tanh(.) and b = sigmoid(.), for its gradient g, in one
+    blocked pass: g b (1 - a^2) written over a and g a (b (1 - b)) over g."""
+    for s, (slope, ga) in ad.blocks(g.shape, 2):
+        pv, gb = a[s], g[s]
+        np.multiply(pv, pv, out=slope)
         np.subtract(1.0, slope, out=slope)
-        np.multiply(g[s], b[s], out=o)
-        o *= slope
-    return out
-
-
-def _sigmoid_grad(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """g a (b (1 - b)), written over g: the gradient into sigmoid's argument
-    of the gate product a b, with b = sigmoid(.)."""
-    for s, (slope,) in ad.blocks(g.shape, 1):
-        gb = g[s]
+        np.multiply(gb, pv, out=ga)
+        np.multiply(gb, b[s], out=pv)
+        pv *= slope
         np.subtract(1.0, b[s], out=slope)
         slope *= b[s]
-        gb *= a[s]
-        gb *= slope
-    return g
+        np.multiply(ga, slope, out=gb)
 
 
 # The fused layers below are one tape node each. Besides its inputs and
 # output, a node keeps only what its backward cannot rebuild cheaply with the
 # same bits as the forward's:
 #
-#   node                  keeps                      rebuilds in backward
-#   cosine_alignment      row norms u, v; Sn (K, d)  Hn = H / u
-#   route_update          MLP pre-activation P       X = H + A_hat S_agg (one
-#                                                    (M, K) x (K, d) matmul)
-#                                                    gelu(P); its slope
-#   cluster_reduce        MLP pre-activation P       gelu(P); its slope
-#   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product
+#   node                  keeps                      backward rebuilds, over
+#   cosine_alignment      row norms u, v; Sn (K, d)  Hn = H / u, fresh
+#   route_update          MLP pre-activation P       gelu(P) over P, then X =
+#                                                    H + A_hat S_agg (one (M, K)
+#                                                    x (K, d) matmul) over it
+#   cluster_reduce        MLP pre-activation P       gelu(P) over P
+#   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product, fresh
 #
-# gated_attention_pool's backward lets its activations go once both gate
-# gradients exist, before it builds the instance gradient. Only route_update
-# repeats a matmul, a K-wide one, against the two d-wide matmuls of its MLP
-# that it keeps P to avoid. The slopes exist one row block at a time: each
-# elementwise chain (gelu, its slope, sigmoid, the two gate slopes) is a
-# blocked pass over the rows from ``ad.blocks``.
+# A backward writes over what it has read for the last time: gelu(P) goes
+# over P as the slope pass makes it (X too when h = d), and the pool writes
+# its tanh-side gate gradient over tanh(PV) and its sigmoid-side one over the
+# gate product, and lets sigmoid(PU) go before its weight products. So a
+# step peaks at its tape plus one (M, h) array, the pool's gate product,
+# which stays whole: the row bits of its narrow (M, h) x (h, 1) product
+# depend on the row count. Only route_update repeats a matmul, a K-wide one,
+# against the two d-wide matmuls of its MLP that it keeps P to avoid. The
+# slopes exist one row block at a time: each elementwise chain (gelu, its
+# slope, sigmoid, the two gate slopes) is a blocked pass over the rows from
+# ``ad.blocks``.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, make_X)`` takes
     the upstream gradient g of Y and a function that makes the same X again,
-    accumulates the four weight gradients and returns the gradient of X. X
-    is made after the slope pass, so that it never lives beside that pass's
-    arrays."""
+    accumulates the four weight gradients and returns the gradient of X.
+    ``make_X`` is given P's buffer once gelu(P) in it is spent, and may make
+    X there."""
     P = X @ w1.data
     P += b1.data
     Y = _gelu(P) @ w2.data
     Y += b2.data
 
     def bw(g, make_X):
+        nonlocal P
         gP = g @ w2.data.T
         act = _gelu_backward(P, gP)
         _accum(w2, act.T @ g)
         _accum(b2, g.sum(axis=0))
-        del act
-        _accum(w1, make_X().T @ gP)
+        _accum(w1, make_X(act).T @ gP)
+        P = act = None
         _accum(b1, gP.sum(axis=0))
         return gP @ w1.data.T
 
@@ -369,8 +365,10 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  seg: ad.Segments) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    def make_X():
-        X = seg.matmul(A_hat.data, S_agg.data)
+    def make_X(spent=None):
+        # into the backward's spent (M, h) buffer when h = d
+        fits = spent is not None and spent.shape == H.data.shape
+        X = seg.matmul(A_hat.data, S_agg.data, out=spent if fits else None)
         X += H.data   # the bits of ``H.data + X``, in the matmul's output
         return X
 
@@ -412,7 +410,7 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     Y, mlp_bw = _gelu_mlp(_block_transpose(S_agg.data, bags), r1, rb1, r2, rb2)
 
     def bw(g):
-        gX = mlp_bw(_block_transpose(g, bags), lambda: _block_transpose(S_agg.data, bags))
+        gX = mlp_bw(_block_transpose(g, bags), lambda _: _block_transpose(S_agg.data, bags))
         _accum(S_agg, _block_transpose(gX, bags))
 
     return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)
@@ -430,9 +428,9 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
     attn = e / seg.spread(seg.sum(e))
 
     def bw(g):
-        # in place, so that at most two (N, h) temporaries live beside the
-        # full tape, and gH only once a and b are gone; ``x *= y`` has the
-        # bits of ``y * x``
+        # in place, so that one (N, h) temporary, the gate product, lives
+        # beside the full tape, and gH only once b is gone; ``x *= y`` has
+        # the bits of ``y * x``
         nonlocal a, b
         g_attn = seg.spread(g)
         g_attn *= H.data
@@ -441,9 +439,8 @@ def gated_attention_pool(H: Tensor, V: Tensor, U: Tensor, w: Tensor,
         gate = a * b
         _accum(w, gate.T @ g_scores[:, None])
         g_gate = np.multiply(g_scores[:, None], w.data.T, out=gate)
-        gPV = _tanh_grad(g_gate, a, b)
-        gPU = _sigmoid_grad(g_gate, a, b)
-        a = b = None   # read for the last time: the tape lets them go
+        _gate_grads(g_gate, a, b)
+        gPV, gPU, a, b = a, g_gate, None, None   # b read for the last time
         _accum(V, H.data.T @ gPV)
         _accum(U, H.data.T @ gPU)
         if H.requires_grad:   # not the bag features themselves (w/o route)

@@ -10,6 +10,7 @@ some MIL training setups use; the substitution is noted in every report.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -156,7 +157,7 @@ def _pack_loss(model: MicoModel, bags: list[FeatureBag], edges: np.ndarray | Non
                assign_mode: str = "hard") -> tuple[Tensor, np.ndarray]:
     """The summed task loss of a pack of bags, from one packed forward, and
     the (B,) per-bag losses; survival bins times on the fold's ``edges``."""
-    out, _ = model.forward([b.features for b in bags], assign_mode=assign_mode)
+    out, _ = model.forward([b.feature_view() for b in bags], assign_mode=assign_mode)
     cfg = model.config
     labels = [b.label for b in bags]
     if cfg.task == "survival":
@@ -213,7 +214,7 @@ def _packs(bags: list[FeatureBag]):
 def _outputs(model: MicoModel, bags: list[FeatureBag]) -> np.ndarray:
     """The (len(bags), C) model outputs, one forward per pack, with no tape."""
     with ad.no_grad():
-        outs = [model.forward([b.features for b in pack])[0].data for pack in _packs(bags)]
+        outs = [model.forward([b.feature_view() for b in pack])[0].data for pack in _packs(bags)]
     return np.concatenate(outs) if outs else np.zeros((0, model.config.head_size))
 
 
@@ -287,10 +288,14 @@ def train_fold(config: TrainConfig, fold_index: int,
             # a grad-accum group; the first may finish the last epoch's group
             group = [train_bags[int(j)] for j in order[start:start + config.grad_accum - pending]]
             start += len(group)
+            # the last epoch's unfilled group feeds no step: its losses count,
+            # untaped (an early stop is known only after validation)
+            no_step = epoch == config.epochs and pending + len(group) < config.grad_accum
             for pack in _packs(group):
                 # a diverging run is reported by the checks below, as one
                 # error; NumPy's overflow warnings on the way would be noise
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+                      ad.no_grad() if no_step else contextlib.nullcontext()):
                     try:
                         loss, per_bag = _pack_loss(model, pack, edges)
                         if not np.isfinite(loss.data):
@@ -298,9 +303,10 @@ def train_fold(config: TrainConfig, fold_index: int,
                     except NumericalError as exc:
                         raise _divergence(exc, model, pack, edges, fold_index, epoch) from exc
                     losses.extend(per_bag.tolist())
-                    # seeding the summed loss with 1/grad_accum makes one
-                    # accumulated step match an averaged batch of grad_accum bags
-                    ad.backward(loss, 1.0 / config.grad_accum)
+                    if not no_step:
+                        # seeding the summed loss with 1/grad_accum makes one
+                        # accumulated step match an averaged batch of grad_accum bags
+                        ad.backward(loss, 1.0 / config.grad_accum)
             pending += len(group)
             if pending == config.grad_accum:
                 opt.step()

@@ -416,12 +416,14 @@ class TestRowBlockedChains:
         assert np.array_equal(_bits(mm._sigmoid(x)), _bits(ref_sigmoid(x)))
 
     def test_gelu_backward_keeps_the_bits(self, shape):
+        # gelu(x) is written over x, which the slope pass reads for the last time
         rng = np.random.default_rng(shape)
         x, g = _with_specials(rng, shape), rng.standard_normal(shape)
-        act_ref, slope_ref = ref_gelu_and_slope(x)
+        act_ref, slope_ref = ref_gelu_and_slope(x.copy())
         g_ref = g.copy()
         g_ref *= slope_ref
         act = mm._gelu_backward(x, g)
+        assert act is x
         assert np.array_equal(_bits(act), _bits(act_ref))
         assert np.array_equal(_bits(g), _bits(g_ref))
 
@@ -429,22 +431,27 @@ class TestRowBlockedChains:
     # zero in one makes a NaN another NaN could meet (see SPECIAL)
     @pytest.mark.parametrize("special", ["g", "a", "b"])
     def test_gate_slopes_keep_the_bits(self, shape, special):
+        # the one pass writes the tanh-side gradient over a and the
+        # sigmoid-side one over g, and leaves b as it was
         rng = np.random.default_rng(shape)
         arrays = {"g": rng.standard_normal(shape), "a": rng.uniform(-1, 1, shape),
                   "b": rng.uniform(0, 1, shape)}
         arrays[special] = _with_specials(rng, shape)
         g, a, b = arrays["g"], arrays["a"], arrays["b"]
-        assert np.array_equal(_bits(mm._tanh_grad(g, a, b)), _bits(ref_tanh_grad(g, a, b)))
-        expected = ref_sigmoid_grad(g.copy(), a, b)
-        out = mm._sigmoid_grad(g, a, b)
-        assert out is g
-        assert np.array_equal(_bits(out), _bits(expected))
+        b_before = b.copy()
+        gPV = ref_tanh_grad(g, a, b)
+        gPU = ref_sigmoid_grad(g.copy(), a, b)
+        mm._gate_grads(g, a, b)
+        assert np.array_equal(_bits(a), _bits(gPV))
+        assert np.array_equal(_bits(g), _bits(gPU))
+        assert np.array_equal(_bits(b), _bits(b_before))
 
 
 @pytest.mark.parametrize("rows", [8, 1024])
 def test_gelu_backward_scratch_is_one_block(rows):
-    """Beyond act, the slope chain holds two block buffers, which for an
-    array of one block are no larger than the array."""
+    """The slope chain holds three block buffers, which for an array of one
+    block are no larger than the array, and no array of x's size: gelu(x)
+    goes over x."""
     x = np.random.default_rng(3).standard_normal((rows, 512))
     g = np.ones_like(x)
     tracemalloc.start()
@@ -454,7 +461,7 @@ def test_gelu_backward_scratch_is_one_block(rows):
     finally:
         tracemalloc.stop()
     block = min(x.nbytes, max(1, ad.BLOCK // 512) * 512 * 8)
-    assert peak <= x.nbytes + 2 * block + 4096
+    assert peak <= 3 * block + 4096
 
 
 @pytest.mark.parametrize("pooling,ablate_route",

@@ -179,6 +179,20 @@ class TestTraining:
             want.update(test_ids)
         assert Counter(os.path.basename(p)[:-len(".mbag")] for p in calls) == want
 
+    def test_training_and_evaluation_copy_no_streamed_features(self, tmp_path, monkeypatch):
+        # the forward never writes its input, so a streamed bag feeds it the
+        # view of its checked file bytes, never the copy ``features`` makes
+        path = write(tmp_path)
+        monkeypatch.setattr(data, "RESIDENT_BYTES", 0)
+        bags = read_dataset(path)
+        copies = []
+        features = StreamedBag.features
+        monkeypatch.setattr(StreamedBag, "features",
+                            property(lambda bag: copies.append(bag.bag_id) or features.fget(bag)))
+        train(config(), bags, out_dir=str(tmp_path / "run"))
+        evaluations(str(tmp_path / "run" / "fold0.mico"), bags)
+        assert copies == []
+
     @pytest.fixture(scope="class")
     def resident_run(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("resident")

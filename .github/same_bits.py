@@ -8,9 +8,9 @@ with its wall clock masked), the metrics and the SHA-256 of the logits of 600
 bags scored by one checkpoint, the c-index and the SHA-256 of the risk scores
 of 80 survival bags, the passes and the SHA-256 of the centers of three
 K-means fits, the SHA-256 of one slide-size training step and the gradient
-check's errors. The mico on the import path
-is the one measured: two processes, or a change and its parent, under the
-same BLAS build and thread count, must print the same lines.
+check's errors. The mico on the import path is the one measured: two
+processes, or a change and its parent, under the same BLAS build and thread
+count, must print the same lines.
 With --stream every dataset bag is read from its file at each use
 (``mico.data.RESIDENT_BYTES = 0``), which must not move a line either.
 """

@@ -112,16 +112,13 @@ class Segments:
             raise ShapeError(f"segments: {y.shape} is not {self.count} stacked blocks")
         return y.reshape(self.count, y.shape[0] // self.count, y.shape[1])
 
-    def matmul(self, x: np.ndarray, y: np.ndarray, trans_y: bool = False,
-               out: np.ndarray | None = None) -> np.ndarray:
+    def matmul(self, x: np.ndarray, y: np.ndarray, trans_y: bool = False) -> np.ndarray:
         """Rows of bag b times block b of ``y`` (transposed with ``trans_y``):
-        (N, p) and (B*p, q), or (B*q, p) with ``trans_y``, give (N, q), into
-        ``out`` if given."""
+        (N, p) and (B*p, q), or (B*q, p) with ``trans_y``, give (N, q)."""
         yb = self._blocks(y)
         if trans_y:
             yb = yb.transpose(0, 2, 1)
-        if out is None:
-            out = np.empty((x.shape[0], yb.shape[2]))
+        out = np.empty((x.shape[0], yb.shape[2]))
         for b, (lo, hi) in enumerate(self._spans):
             np.matmul(x[lo:hi], yb[b], out=out[lo:hi])
         return out

@@ -317,30 +317,30 @@ def _gate_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 #
 #   node                  keeps                      backward rebuilds, over
 #   cosine_alignment      row norms u, v; Sn (K, d)  Hn = H / u, fresh
-#   route_update          MLP pre-activation P       gelu(P) over P, then X =
-#                                                    H + A_hat S_agg (one (M, K)
-#                                                    x (K, d) matmul) over it
+#   route_update          MLP pre-activation P       gelu(P) over P; X = H +
+#                                                    A_hat S_agg (one (M, K) x
+#                                                    (K, d) matmul) once P goes
 #   cluster_reduce        MLP pre-activation P       gelu(P) over P
 #   gated_attention_pool  tanh(PV), sigmoid(PU)      the gate product, fresh
 #
 # A backward writes over what it has read for the last time: gelu(P) goes
-# over P as the slope pass makes it (X too when h = d), and the pool writes
-# its tanh-side gate gradient over tanh(PV) and its sigmoid-side one over the
-# gate product, and lets sigmoid(PU) go before its weight products. So a
-# step peaks at its tape plus one (M, h) array, the pool's gate product,
-# which stays whole: the row bits of its narrow (M, h) x (h, 1) product
-# depend on the row count. Only route_update repeats a matmul, a K-wide one,
-# against the two d-wide matmuls of its MLP that it keeps P to avoid. The
-# slopes exist one row block at a time: each elementwise chain (gelu, its
-# slope, sigmoid, the two gate slopes) is a blocked pass over the rows from
-# ``ad.blocks``.
+# over P as the slope pass makes it and is let go before X is made again,
+# and the pool writes its tanh-side gate gradient over tanh(PV) and its
+# sigmoid-side one over the gate product, and lets sigmoid(PU) go before its
+# weight products. So a step peaks at its tape plus one (M, h) array, the
+# pool's gate product, which stays whole: the row bits of its narrow (M, h)
+# x (h, 1) product depend on the row count. Only route_update repeats a
+# matmul, a K-wide one, against the two d-wide matmuls of its MLP that it
+# keeps P to avoid. The slopes exist one row block at a time: each
+# elementwise chain (gelu, its slope, sigmoid, the two gate slopes) is a
+# blocked pass over the rows from ``ad.blocks``.
 
 def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """Y = gelu(X w1 + b1) w2 + b2, and its backward: ``bw(g, make_X)`` takes
     the upstream gradient g of Y and a function that makes the same X again,
-    accumulates the four weight gradients and returns the gradient of X.
-    ``make_X`` is given P's buffer once gelu(P) in it is spent, and may make
-    X there."""
+    accumulates the four weight gradients and returns the gradient of X. X
+    is made once gelu(P), written over P, is spent and let go, so that it
+    takes P's place."""
     P = X @ w1.data
     P += b1.data
     Y = _gelu(P) @ w2.data
@@ -352,8 +352,8 @@ def _gelu_mlp(X: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         act = _gelu_backward(P, gP)
         _accum(w2, act.T @ g)
         _accum(b2, g.sum(axis=0))
-        _accum(w1, make_X(act).T @ gP)
-        P = act = None
+        P = act = None   # spent: the tape's last reference to P's buffer
+        _accum(w1, make_X().T @ gP)
         _accum(b1, gP.sum(axis=0))
         return gP @ w1.data.T
 
@@ -365,10 +365,8 @@ def route_update(H: Tensor, A_hat: Tensor, S_agg: Tensor,
                  seg: ad.Segments) -> Tensor:
     """Residual instance refinement: h' = h + MLP(h + assigned context),
     each row's context drawn from its own bag's anchors."""
-    def make_X(spent=None):
-        # into the backward's spent (M, h) buffer when h = d
-        fits = spent is not None and spent.shape == H.data.shape
-        X = seg.matmul(A_hat.data, S_agg.data, out=spent if fits else None)
+    def make_X():
+        X = seg.matmul(A_hat.data, S_agg.data)
         X += H.data   # the bits of ``H.data + X``, in the matmul's output
         return X
 
@@ -410,7 +408,7 @@ def cluster_reduce(S_agg: Tensor, r1: Tensor, rb1: Tensor, r2: Tensor, rb2: Tens
     Y, mlp_bw = _gelu_mlp(_block_transpose(S_agg.data, bags), r1, rb1, r2, rb2)
 
     def bw(g):
-        gX = mlp_bw(_block_transpose(g, bags), lambda _: _block_transpose(S_agg.data, bags))
+        gX = mlp_bw(_block_transpose(g, bags), lambda: _block_transpose(S_agg.data, bags))
         _accum(S_agg, _block_transpose(gX, bags))
 
     return _make(_block_transpose(Y, bags), (S_agg, r1, rb1, r2, rb2), "cluster_reduce", bw)

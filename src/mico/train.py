@@ -10,7 +10,6 @@ some MIL training setups use; the substitution is noted in every report.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -288,14 +287,10 @@ def train_fold(config: TrainConfig, fold_index: int,
             # a grad-accum group; the first may finish the last epoch's group
             group = [train_bags[int(j)] for j in order[start:start + config.grad_accum - pending]]
             start += len(group)
-            # the last epoch's unfilled group feeds no step: its losses count,
-            # untaped (an early stop is known only after validation)
-            no_step = epoch == config.epochs and pending + len(group) < config.grad_accum
             for pack in _packs(group):
                 # a diverging run is reported by the checks below, as one
                 # error; NumPy's overflow warnings on the way would be noise
-                with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
-                      ad.no_grad() if no_step else contextlib.nullcontext()):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     try:
                         loss, per_bag = _pack_loss(model, pack, edges)
                         if not np.isfinite(loss.data):
@@ -303,10 +298,9 @@ def train_fold(config: TrainConfig, fold_index: int,
                     except NumericalError as exc:
                         raise _divergence(exc, model, pack, edges, fold_index, epoch) from exc
                     losses.extend(per_bag.tolist())
-                    if not no_step:
-                        # seeding the summed loss with 1/grad_accum makes one
-                        # accumulated step match an averaged batch of grad_accum bags
-                        ad.backward(loss, 1.0 / config.grad_accum)
+                    # seeding the summed loss with 1/grad_accum makes one
+                    # accumulated step match an averaged batch of grad_accum bags
+                    ad.backward(loss, 1.0 / config.grad_accum)
             pending += len(group)
             if pending == config.grad_accum:
                 opt.step()

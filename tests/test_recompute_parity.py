@@ -257,14 +257,6 @@ def test_ablations_match_the_old_bodies(oracle, task, ablation, sizes, mode):
     _check(oracle, cfg, sizes, mode)
 
 
-@pytest.mark.parametrize("mlp_hidden", [24, 48], ids=["h-below-d", "h-above-d"])
-def test_a_hidden_width_other_than_d_matches_the_old_bodies(oracle, mlp_hidden):
-    # route_update rebuilds its MLP input over the spent (M, h) buffer only
-    # when h = d, and into a fresh array otherwise
-    cfg = MicoConfig(d=32, anchors=16, layers=2, task="subtype", mlp_hidden=mlp_hidden)
-    _check(oracle, cfg, (25, 41, 30), "hard")
-
-
 @pytest.mark.parametrize("mode", ["hard", "soft"])
 def test_slide_size_matches_the_old_bodies(oracle, mode):
     cfg = MicoConfig(d=512, anchors=64, layers=3, task="subtype")

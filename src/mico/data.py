@@ -78,20 +78,15 @@ class FeatureBag:
     def n_instances(self) -> int:
         return self.shape[0]
 
-    def feature_view(self) -> np.ndarray:
-        """The features, to be read and not written: a `StreamedBag` gives a
-        view of its verified file bytes, with no copy of them."""
-        return self.features
-
 
 class StreamedBag(FeatureBag):
     """A dataset bag whose features stay in its file. It holds the header
     `read_dataset` checked: the id, the label and (M, d). Each read of
-    ``feature_view`` reads the file again with ``read_bag(path,
-    metadata=False, copy=False)``, which checks its CRC, and ``features``
-    returns a fresh copy of that view. A file whose id, shape or label
-    changed raises HeaderError, and a missing one DataError. It has no
-    coords or type map."""
+    ``features`` reads the file again with ``read_bag(path,
+    metadata=False)``, which checks its CRC, and returns the read-only view
+    of the verified file bytes, with no copy of them. A file whose id, shape
+    or label changed raises HeaderError, and a missing one DataError. It has
+    no coords or type map."""
 
     def __init__(self, path: str, header: FeatureBag):
         self.path = path
@@ -105,10 +100,7 @@ class StreamedBag(FeatureBag):
 
     @property
     def features(self) -> np.ndarray:
-        return self.feature_view().copy()
-
-    def feature_view(self) -> np.ndarray:
-        bag = read_bag(self.path, metadata=False, copy=False)
+        bag = read_bag(self.path, metadata=False)
         if (bag.bag_id, bag.shape, bag.label) != (self.bag_id, self._shape, self.label):
             raise HeaderError(f"{self.path}: bag {self.bag_id!r} changed since its dataset was "
                               f"read: now bag {bag.bag_id!r} of shape {bag.shape}, {bag.label}")
@@ -252,12 +244,12 @@ def write_bag(bag: FeatureBag, path: str) -> None:
     framing.write_framed(path, MAGIC, parts)
 
 
-def read_bag(path: str, *, metadata: bool = True, copy: bool = True) -> FeatureBag:
-    """Read and check one bag file. With ``metadata=False`` the coords and
-    type map are not built: their sections are only checked to have their
-    exact lengths, so a file with bytes missing or left over still raises
-    HeaderError or TruncationError. With ``copy=False`` the features are a
-    read-only view of the verified file bytes, which they keep alive."""
+def read_bag(path: str, *, metadata: bool = True) -> FeatureBag:
+    """Read and check one bag file. Every array of the bag is a read-only
+    view of the verified file bytes, which it keeps alive. With
+    ``metadata=False`` the coords and type map are not built: their sections
+    are only checked to have their exact lengths, so a file with bytes
+    missing or left over still raises HeaderError or TruncationError."""
     r = framing.read_framed(path, MAGIC)
     (id_len,) = r.unpack(_ID_LEN, "bag id length")
     bag_id = r.text(id_len, "bag id")
@@ -271,7 +263,7 @@ def read_bag(path: str, *, metadata: bool = True, copy: bool = True) -> FeatureB
         label = SurvivalLabel(time=fields[0], event=bool(fields[1]))
     else:
         label = SubtypeLabel(class_index=fields[0])
-    features = r.array(_F8, (M, d), "features", copy=copy)
+    features = r.array(_F8, (M, d), "features")
     section = r.array if metadata else r.skip
     coords = section(_F8, (M, 2), "coords") if flags & 1 else None
     type_map = section(_I4, (M,), "type map") if flags & 2 else None
@@ -306,15 +298,16 @@ def write_dataset(bags: list[FeatureBag], out_dir: str) -> str:
 
 def read_dataset(data_dir: str) -> list[FeatureBag]:
     """Read every bag the manifest lists, in its order, with one
-    ``read_bag(path, metadata=False, copy=False)`` call per file. Each file
-    is read and checked whole: its CRC, its header and the finiteness of its
-    features. The bags hold only their features and labels: coords and type
-    maps are for ``export-assignments``, which reads its bag with
-    ``read_bag``. Bags stay in memory, as a copy of their features, while the
+    ``read_bag(path, metadata=False)`` call per file. Each file is read and
+    checked whole: its CRC, its header and the finiteness of its features.
+    The bags hold only their features and labels: coords and type maps are
+    for ``export-assignments``, which reads its bag with ``read_bag``. Bags
+    stay in memory, as a read-only copy of their features, while the
     features read so far total at most `RESIDENT_BYTES`; from the first bag
     that does not fit on, each is a `StreamedBag`, which reads its file again
-    at each use, and no copy of its features is made here. A bag id that
-    occurs twice raises DataError."""
+    at each use, and no copy of its features is made here. Either way a
+    write to a bag's features raises. A bag id that occurs twice raises
+    DataError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     try:
         with open(manifest) as f:
@@ -324,13 +317,14 @@ def read_dataset(data_dir: str) -> list[FeatureBag]:
     bags, seen, budget = [], set(), RESIDENT_BYTES
     for rel in rels:
         path = os.path.join(data_dir, rel)
-        bag = read_bag(path, metadata=False, copy=False)
+        bag = read_bag(path, metadata=False)
         if bag.bag_id in seen:
             raise DataError(f"bag id {bag.bag_id!r} occurs more than once")
         seen.add(bag.bag_id)
         if bag.features.nbytes <= budget:
             budget -= bag.features.nbytes
             bag.features = bag.features.copy()
+            bag.features.flags.writeable = False
         else:
             budget = -1  # the resident bags are a prefix of the manifest
             bag = StreamedBag(path, bag)

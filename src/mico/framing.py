@@ -118,9 +118,9 @@ def read_framed(path: str, magic: bytes) -> "Reader":
 class Reader:
     """Bounds-checked cursor over the verified body ``raw[start:end]`` of a
     framed file. Fields are parsed in place: integers with a caller's
-    precompiled `struct.Struct`, arrays as one copy out of ``raw`` (or a view
-    of it), and a section the caller does not keep is skipped after its
-    length is checked."""
+    precompiled `struct.Struct`, arrays as read-only views of ``raw``, and a
+    section the caller does not keep is skipped after its length is
+    checked."""
 
     def __init__(self, raw: bytes, start: int, end: int, path: str):
         self._raw = raw
@@ -146,18 +146,16 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise HeaderError(f"{self._path}: {what} is not valid UTF-8") from exc
 
-    def array(self, dtype: np.dtype, shape: tuple[int, ...], what: str, *,
-              copy: bool = True) -> np.ndarray:
-        """The next array, as a copy, or with ``copy=False`` as a read-only
-        view of the verified bytes, which it keeps alive."""
+    def array(self, dtype: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next array, as a read-only view of the verified bytes, which
+        it keeps alive."""
         count = math.prod(shape)
         off = self._take(count * dtype.itemsize, what)
         try:
             # an empty array may still declare dimensions NumPy cannot hold
-            view = np.frombuffer(self._raw, dtype, count, off).reshape(shape)
+            return np.frombuffer(self._raw, dtype, count, off).reshape(shape)
         except ValueError as exc:
             raise HeaderError(f"{self._path}: {what} has impossible shape {shape}") from exc
-        return view.copy() if copy else view
 
     def skip(self, dtype: np.dtype, shape: tuple[int, ...], what: str) -> None:
         """Move past an array that `array` would read, checking only that the

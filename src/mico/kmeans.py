@@ -308,10 +308,10 @@ def fit(instances: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
 def subsample_pool(bags, cap: int, seed: int = 0) -> np.ndarray:
     """Uniform sample without replacement of up to ``cap`` instance rows
     pooled across all bags; deterministic under ``seed``. Sizes come from
-    each bag's ``shape``. Each bag with sampled rows has its
-    ``feature_view`` read once, in bag order, and only those rows copied
-    before the next, so memory is bounded by ``cap`` rows and one bag's
-    file, not the pool; a bag with none is not read."""
+    each bag's ``shape``. Each bag with sampled rows has its ``features``
+    read once, in bag order, and only those rows copied before the next, so
+    memory is bounded by ``cap`` rows and one bag's file, not the pool; a
+    bag with none is not read."""
     if not bags:
         raise DataError("subsample_pool: empty bag list")
     if cap < 1:
@@ -329,5 +329,5 @@ def subsample_pool(bags, cap: int, seed: int = 0) -> np.ndarray:
     order, _, spans = _groups(owner, len(bags))
     for b, start, end in spans:
         picked = order[start:end]
-        pool[picked] = bags[b].feature_view()[idx[picked] - starts[b]]
+        pool[picked] = bags[b].features[idx[picked] - starts[b]]
     return pool

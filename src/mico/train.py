@@ -156,7 +156,7 @@ def _pack_loss(model: MicoModel, bags: list[FeatureBag], edges: np.ndarray | Non
                assign_mode: str = "hard") -> tuple[Tensor, np.ndarray]:
     """The summed task loss of a pack of bags, from one packed forward, and
     the (B,) per-bag losses; survival bins times on the fold's ``edges``."""
-    out, _ = model.forward([b.feature_view() for b in bags], assign_mode=assign_mode)
+    out, _ = model.forward([b.features for b in bags], assign_mode=assign_mode)
     cfg = model.config
     labels = [b.label for b in bags]
     if cfg.task == "survival":
@@ -213,7 +213,7 @@ def _packs(bags: list[FeatureBag]):
 def _outputs(model: MicoModel, bags: list[FeatureBag]) -> np.ndarray:
     """The (len(bags), C) model outputs, one forward per pack, with no tape."""
     with ad.no_grad():
-        outs = [model.forward([b.feature_view() for b in pack])[0].data for pack in _packs(bags)]
+        outs = [model.forward([b.features for b in pack])[0].data for pack in _packs(bags)]
     return np.concatenate(outs) if outs else np.zeros((0, model.config.head_size))
 
 

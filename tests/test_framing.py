@@ -13,6 +13,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from mico import checkpoint, data, framing
 from mico.checkpoint import load_checkpoint, save_checkpoint
-from mico.data import FeatureBag, SynthConfig, generate, read_bag, read_dataset, write_bag
+from mico.data import (FeatureBag, StreamedBag, SynthConfig, generate, read_bag, read_dataset,
+                       write_bag)
 from mico.errors import ChecksumError, DataError, HeaderError, TruncationError
 from mico.losses import SubtypeLabel, SurvivalLabel
 from mico.model import MicoConfig, MicoModel
@@ -229,6 +231,11 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_read_only(a):
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(bag=random_bags(), flip_at=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
 def test_random_headers_round_trip_and_any_flipped_byte_fails_the_crc(bag, flip_at, flip):
@@ -238,7 +245,10 @@ def test_random_headers_round_trip_and_any_flipped_byte_fails_the_crc(bag, flip_
         got = read_bag(path)
         assert got.bag_id == bag.bag_id and got.label == bag.label
         for name in ("features", "coords", "true_type_map"):
-            assert same_bits(getattr(got, name), getattr(bag, name)), name
+            arr = getattr(got, name)
+            assert same_bits(arr, getattr(bag, name)), name
+            if arr is not None:
+                assert_read_only(arr)
 
         with open(os.path.join(tmp, "manifest.txt"), "w") as f:
             f.write("b.mbag\n")
@@ -246,6 +256,12 @@ def test_random_headers_round_trip_and_any_flipped_byte_fails_the_crc(bag, flip_
         assert kept.bag_id == bag.bag_id and kept.label == bag.label
         assert same_bits(kept.features, bag.features)
         assert kept.coords is None and kept.true_type_map is None
+        assert_read_only(kept.features)
+        with mock.patch.object(data, "RESIDENT_BYTES", 0):
+            (streamed,) = read_dataset(tmp)
+        assert isinstance(streamed, StreamedBag)
+        assert same_bits(streamed.features, bag.features)
+        assert_read_only(streamed.features)
 
         with open(path, "rb") as f:
             raw = bytearray(f.read())

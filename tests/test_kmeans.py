@@ -783,7 +783,7 @@ class TestSubsamplePool:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert calls == [{"metadata": False, "copy": False}] * 10
+        assert calls == [{"metadata": False}] * 10
         # one bag's file bytes and the pool; a copy of the features would
         # hold a second bag beside them
         assert peak < 2 * 500 * 64 * 8

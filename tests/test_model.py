@@ -738,10 +738,22 @@ class TestCheckpoint:
         assert cfg2 == cfg
         for name, arr in model.state_arrays().items():
             assert np.array_equal(state[name], arr)
+            # a view of the file's bytes, which a load copies from
+            assert not state[name].flags.writeable
         # saving the loaded state reproduces the file byte for byte
         path2 = tmp_path / "m2.mico"
         save_checkpoint(str(path2), cfg2, state)
         assert path.read_bytes() == path2.read_bytes()
+        # a model loaded from it owns its parameters and takes an Adam step
+        loaded = MicoModel(model.config, rng=np.random.default_rng(1))
+        loaded.load_state_arrays(state)
+        opt = Adam(loaded.params, lr=0.1)
+        for p in loaded.params.values():
+            p.grad = np.ones(p.shape)
+        opt.step()
+        for name, p in loaded.params.items():
+            assert np.allclose(p.data, state[name] - 0.1, rtol=0.0, atol=1e-6), name
+            assert np.array_equal(state[name], model.state_arrays()[name]), name
 
     def test_load_keeps_parameters_in_their_optimizer(self):
         # a load copies into the arrays the optimizer steps, so the step

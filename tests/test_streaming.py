@@ -20,6 +20,7 @@ from mico.data import (StreamedBag, SynthConfig, generate, make_folds, read_bag,
                        write_bag, write_dataset)
 from mico.errors import ChecksumError, DataError, HeaderError
 from mico.losses import SubtypeLabel
+from mico.model import MicoModel
 from mico.train import (TrainConfig, _model_from_checkpoint, _outputs, ablate,
                         evaluate_checkpoint, train)
 
@@ -50,6 +51,13 @@ def counting_reads(monkeypatch):
 
     monkeypatch.setattr(data, "read_bag", read_bag)
     return calls
+
+
+def of_file_bytes(x) -> bool:
+    """Whether array ``x`` is a view whose memory is the bytes of a file read."""
+    while isinstance(x, np.ndarray):
+        x = x.base
+    return isinstance(x, bytes)
 
 
 def flip_a_feature_byte(path):
@@ -111,7 +119,9 @@ class TestReRead:
         first, again = bags[1].features, bags[1].features
         assert calls == [os.path.join(path, "bag0001.mbag")] * 2
         assert first is not again and np.array_equal(first, again)
-        assert first.flags.writeable and first.flags.c_contiguous
+        # a view of the file's bytes, not a copy of them
+        assert not first.flags.writeable and first.flags.c_contiguous
+        assert of_file_bytes(first)
 
     def test_a_view_reads_the_file_once_with_no_copy_and_the_same_checks(self, streamed,
                                                                          monkeypatch):
@@ -119,15 +129,16 @@ class TestReRead:
         calls = []
         real = data.read_bag
         monkeypatch.setattr(data, "read_bag", lambda p, **kw: calls.append(kw) or real(p, **kw))
-        view = bags[1].feature_view()
-        assert calls == [{"metadata": False, "copy": False}]
-        assert not view.flags.writeable and np.array_equal(view, bags[1].features)
+        view = bags[1].features
+        assert calls == [{"metadata": False}]
+        assert not view.flags.writeable and of_file_bytes(view)
+        assert np.array_equal(view, read_bag(os.path.join(path, "bag0001.mbag")).features)
         with open(os.path.join(path, "bag0002.mbag"), "rb") as f:
             other = f.read()
         with open(os.path.join(path, "bag0001.mbag"), "wb") as f:
             f.write(other)
         with pytest.raises(HeaderError, match="bag 'bag0001' changed since its dataset was read"):
-            bags[1].feature_view()
+            bags[1].features
 
     def test_a_flipped_byte_fails_the_crc(self, streamed):
         path, bags = streamed
@@ -181,17 +192,25 @@ class TestTraining:
 
     def test_training_and_evaluation_copy_no_streamed_features(self, tmp_path, monkeypatch):
         # the forward never writes its input, so a streamed bag feeds it the
-        # view of its checked file bytes, never the copy ``features`` makes
+        # very view of its checked file bytes that ``features`` returns
         path = write(tmp_path)
         monkeypatch.setattr(data, "RESIDENT_BYTES", 0)
         bags = read_dataset(path)
-        copies = []
+        views, inputs = [], []
         features = StreamedBag.features
         monkeypatch.setattr(StreamedBag, "features",
-                            property(lambda bag: copies.append(bag.bag_id) or features.fget(bag)))
+                            property(lambda bag: views.append(features.fget(bag)) or views[-1]))
+        forward = MicoModel.forward
+        monkeypatch.setattr(MicoModel, "forward",
+                            lambda model, xs, *a, **kw: inputs.extend(xs) or
+                            forward(model, xs, *a, **kw))
         train(config(), bags, out_dir=str(tmp_path / "run"))
         evaluations(str(tmp_path / "run" / "fold0.mico"), bags)
-        assert copies == []
+        assert inputs
+        handed = {id(v) for v in views}
+        for x in inputs:
+            assert id(x) in handed
+            assert not x.flags.writeable and of_file_bytes(x)
 
     @pytest.fixture(scope="class")
     def resident_run(self, tmp_path_factory):

@@ -1,19 +1,18 @@
 """Mutants of mico's file handling that the test suite must kill.
 
-    python .github/mutants.py [NAME ...]
+    python .github/mutants.py
 
 Each mutant is one exact text replacement in a file under src/mico, with the
 test files that must fail under it. The script first checks that each
 mutant's old text occurs exactly once in its file, so a refactor that moves
 the text must update this list. It then runs every listed test file once on
 an unmutated copy of src/ and tests/, which must pass. Last, for each mutant
-(or only those NAMEd) it copies src/ and tests/ to a new temporary
-directory, applies the replacement there and runs the mutant's test files,
-stopping at the first failure. It exits 1 if a check fails, the unmutated
-run fails, or a mutant survives. The tree it runs from is never changed.
+it copies src/ and tests/ to a new temporary directory, applies the
+replacement there and runs the mutant's test files, stopping at the first
+failure. It exits 1 if a check fails, the unmutated run fails, or a
+mutant survives. The tree it runs from is never changed.
 """
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -117,21 +116,13 @@ def tests_pass(tree: Path, tests) -> bool | None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
     stale = [m.name for m in MUTANTS
              if (ROOT / "src" / "mico" / m.file).read_text().count(m.old) != 1]
     if stale:
         print(f"old text not found exactly once for: {', '.join(stale)}")
         return 1
 
-    every_test = sorted({t for m in chosen for t in m.tests})
+    every_test = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
         copy_tree(Path(tmp))
         if not tests_pass(Path(tmp), every_test):
@@ -139,7 +130,7 @@ def main() -> int:
             return 1
 
     survivors = []
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             copy_tree(Path(tmp))
@@ -153,7 +144,7 @@ def main() -> int:
     if survivors:
         print(f"not killed: {', '.join(survivors)}")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
